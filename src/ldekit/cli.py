@@ -27,7 +27,7 @@ from .data import (
     write_corpus,
 )
 from .encoding import LdeConfig
-from .gmm import em_fit, gmm_classify, log_posterior_scores
+from .gmm import GmmModel, em_fit, gmm_classify, log_posterior_scores
 from .metrics import (
     AlignmentError,
     ScoresFormatError,
@@ -49,6 +49,7 @@ from .train import (
     Model,
     ModelConfig,
     NumericalError,
+    TrainStep,
     infer,
     load_model,
     save_gmm_bank,
@@ -111,7 +112,12 @@ def _print_bucket_metrics(trials: TrialSet) -> None:
             _print_metrics(bucket, subset)
 
 
-def _model_config(rc: RunConfig, num_classes: int, in_dim: int) -> ModelConfig:
+def _class_names(num_classes: int) -> list[str]:
+    return [f"L{k}" for k in range(num_classes)]
+
+
+def model_config(rc: RunConfig, num_classes: int, in_dim: int) -> ModelConfig:
+    """The classifier a run configuration describes, for a corpus shape."""
     fe = rc.frontend.build(in_dim)
     embed = fe.out_dim if fe is not None else in_dim
     enc = rc.encoder
@@ -128,6 +134,27 @@ def _model_config(rc: RunConfig, num_classes: int, in_dim: int) -> ModelConfig:
                            zero_dictionary=enc.zero_dictionary)
     except ValueError as exc:
         raise ConfigError(f"bad model settings: {exc}") from exc
+
+
+def train_from_config(rc: RunConfig, utts: list[Utterance], num_classes: int,
+                      in_dim: int, log_path=None
+                      ) -> tuple[Model, list[TrainStep]]:
+    """Initialize (seed stream 0) and train (stream 1) the configured model."""
+    root = Rng(rc.train.seed)
+    model = Model(model_config(rc, num_classes, in_dim), root.split(0))
+    steps = train_model(model, utts, rc.train.sgd(), root.split(1),
+                        batch_size=rc.train.batch_size, policy=rc.train.crop(),
+                        smooth_window=rc.train.smooth_window,
+                        log_path=log_path)
+    return model, steps
+
+
+def score_corpus(model: Model, utts: list[Utterance],
+                 num_classes: int) -> TrialSet:
+    """Class logits of every whole utterance as trials."""
+    return TrialSet(_class_names(num_classes),
+                    [TrialScore(u.id, u.label, infer(model, u.features))
+                     for u in utts])
 
 
 def cmd_gen_data(args) -> int:
@@ -153,22 +180,13 @@ def cmd_train(args) -> int:
     _require_file(rc.paths.train_corpus, "train corpus")
     _prepare_output(rc.paths.checkpoint, args.force)
     _prepare_output(rc.paths.loss_log, args.force)
-    sgd_cfg = rc.train.sgd()
-    policy = rc.train.crop()
-
     utts, num_classes, in_dim = read_corpus(rc.paths.train_corpus)
-    model_cfg = _model_config(rc, num_classes, in_dim)
-    root = Rng(rc.train.seed)
-    model = Model(model_cfg, root.split(0))
-    steps = train_model(model, utts, sgd_cfg, root.split(1),
-                        batch_size=rc.train.batch_size, policy=policy,
-                        smooth_window=rc.train.smooth_window,
-                        log_path=rc.paths.loss_log)
-    save_model(rc.paths.checkpoint, model, epoch=sgd_cfg.epochs,
-               rng_state=root.state(),
+    model, steps = train_from_config(rc, utts, num_classes, in_dim,
+                                     log_path=rc.paths.loss_log)
+    save_model(rc.paths.checkpoint, model, epoch=rc.train.epochs,
                extra_meta={"run_config": config_to_dict(rc)})
     last = steps[-1].smoothed if steps else float("nan")
-    print(f"trained {rc.encoder.model} for {sgd_cfg.epochs} epochs "
+    print(f"trained {rc.encoder.model} for {rc.train.epochs} epochs "
           f"({len(steps)} steps, final smoothed loss {last:.5f})")
     print(f"checkpoint: {rc.paths.checkpoint}")
     print(f"loss log: {rc.paths.loss_log}")
@@ -186,13 +204,10 @@ def cmd_eval(args) -> int:
             f"{args.corpus}: {num_classes} classes of dim {in_dim} but the "
             f"checkpoint expects {model.cfg.num_classes} of dim "
             f"{model.cfg.in_dim}")
-    class_names = [f"L{k}" for k in range(num_classes)]
-    trials = [TrialScore(u.id, u.label, infer(model, u.features))
-              for u in utts]
-    tset = TrialSet(class_names, trials)
+    tset = score_corpus(model, utts, num_classes)
     write_scores(args.scores, tset)
     if args.det is not None:
-        for k, name in enumerate(class_names):
+        for k, name in enumerate(tset.class_names):
             det_path = f"{args.det}.{name}.txt"
             _prepare_output(det_path, args.force)
             write_det_points(det_path, tset, k)
@@ -214,7 +229,7 @@ def cmd_fuse(args) -> int:
     fused = fuse(eval_sets, fusion)
     write_scores(args.out, fused)
     rendered = " ".join(f"{w:.6g}" for w in fusion.weights)
-    print(f"fusion weights: {rendered} (bias {fusion.bias:.6g})")
+    print(f"fusion weights: {rendered}")
     print(f"fused scores: {args.out}")
     _print_metrics("fused", fused)
     _print_bucket_metrics(fused)
@@ -232,6 +247,41 @@ def _gmm_features(utt: Utterance, g) -> np.ndarray:
         raise CorpusFormatError(f"utterance {utt.id}: {exc}") from exc
 
 
+def fit_gmm_bank(utts: list[Utterance], num_classes: int, g
+                 ) -> tuple[list[GmmModel], list[list[float]], list[int]]:
+    """Per-class EM mixtures on pooled features, thinned by an even stride
+    to `max_frames_per_class`; returns the models, their log-likelihood
+    histories and the frame counts they were fit on."""
+    pooled: list[list[np.ndarray]] = [[] for _ in range(num_classes)]
+    for utt in utts:
+        pooled[utt.label].append(_gmm_features(utt, g).T)
+    rng = Rng(g.seed)
+    models, histories, counts = [], [], []
+    for k in range(num_classes):
+        if not pooled[k]:
+            raise CorpusFormatError(f"no training utterances for class L{k}")
+        frames = np.concatenate(pooled[k], axis=0)
+        if 0 < g.max_frames_per_class < frames.shape[0]:
+            stride = -(-frames.shape[0] // g.max_frames_per_class)
+            frames = frames[::stride]
+        model, history = em_fit(frames, g.components, g.iterations,
+                                rng.split(k))
+        models.append(model)
+        histories.append(history)
+        counts.append(frames.shape[0])
+    return models, histories, counts
+
+
+def score_gmm_bank(models: list[GmmModel], utts: list[Utterance],
+                   num_classes: int, g) -> TrialSet:
+    """Per-class log-posteriors of every utterance under the bank."""
+    return TrialSet(_class_names(num_classes),
+                    [TrialScore(u.id, u.label,
+                                log_posterior_scores(
+                                    gmm_classify(models, _gmm_features(u, g))))
+                     for u in utts])
+
+
 def cmd_gmm(args) -> int:
     rc = load_config(args.config)
     _require_file(rc.paths.train_corpus, "train corpus")
@@ -245,33 +295,13 @@ def cmd_gmm(args) -> int:
             f"{rc.paths.test_corpus}: header ({k2} classes, dim {d2}) does "
             f"not match the train corpus ({num_classes}, dim {in_dim})")
     g = rc.gmm
-
-    pooled: list[list[np.ndarray]] = [[] for _ in range(num_classes)]
-    for utt in train:
-        pooled[utt.label].append(_gmm_features(utt, g).T)
-    rng = Rng(g.seed)
-    models = []
-    for k in range(num_classes):
-        if not pooled[k]:
-            raise CorpusFormatError(f"no training utterances for class L{k}")
-        frames = np.concatenate(pooled[k], axis=0)
-        if 0 < g.max_frames_per_class < frames.shape[0]:
-            stride = -(-frames.shape[0] // g.max_frames_per_class)
-            frames = frames[::stride]
-        model, history = em_fit(frames, g.components, g.iterations,
-                                rng.split(k))
-        models.append(model)
+    models, histories, counts = fit_gmm_bank(train, num_classes, g)
+    for k, (history, count) in enumerate(zip(histories, counts)):
         print(f"class L{k}: {g.components} components on "
-              f"{frames.shape[0]} frames, final avg ll {history[-1]:.5f}")
+              f"{count} frames, final avg ll {history[-1]:.5f}")
     save_gmm_bank(rc.paths.gmm_checkpoint, models,
                   meta={"run_config": config_to_dict(rc)})
-
-    class_names = [f"L{k}" for k in range(num_classes)]
-    trials = [TrialScore(u.id, u.label,
-                         log_posterior_scores(
-                             gmm_classify(models, _gmm_features(u, g))))
-              for u in test]
-    tset = TrialSet(class_names, trials)
+    tset = score_gmm_bank(models, test, num_classes, g)
     write_scores(rc.paths.gmm_scores, tset)
     print(f"bank: {rc.paths.gmm_checkpoint}")
     print(f"scores: {rc.paths.gmm_scores}")

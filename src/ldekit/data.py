@@ -271,6 +271,8 @@ def read_corpus(path) -> tuple[list[Utterance], int, int]:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise CorpusFormatError(f"{path}: bad magic {blob[:4]!r}")
+    if len(blob) < 16:
+        raise CorpusFormatError(f"{path}: truncated header")
     version, num_classes, feature_dim = struct.unpack_from("<III", blob, 4)
     if version != FORMAT_VERSION:
         raise CorpusFormatError(f"{path}: unsupported version {version}")

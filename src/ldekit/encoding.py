@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ndcore import DimensionError, Param, Rng, softmax_rows
+from .ndcore import DimensionError, Param, Rng, softmax_rows, sq_dists
 
 # Denominators below this are clamped (and the component flagged) instead
 # of dividing by ~0: soft clusters can be empty, norms can vanish.
@@ -294,7 +294,4 @@ def length_normalize(v: np.ndarray) -> tuple[np.ndarray, bool]:
 def hard_assign(x: np.ndarray, dictionary: Dictionary) -> np.ndarray:
     """Per-frame index of the nearest center; ties go to the lowest index."""
     x = _check_input(x, dictionary.feature_dim)
-    frames = x.T
-    residuals = frames[:, None, :] - dictionary.centers.value[None, :, :]
-    sq_dists = np.einsum("tcd,tcd->tc", residuals, residuals)
-    return np.argmin(sq_dists, axis=1)
+    return np.argmin(sq_dists(x.T, dictionary.centers.value), axis=1)

@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ndcore import DimensionError, Rng, log_sum_exp_rows, softmax_rows
+from .ndcore import (
+    DimensionError,
+    Rng,
+    log_sum_exp_rows,
+    softmax_rows,
+    sq_dists,
+)
 
 log = logging.getLogger(__name__)
 
@@ -86,14 +92,9 @@ def log_densities(model: GmmModel, frames: np.ndarray) -> np.ndarray:
 
     frames: L x D. Returns L x C.
     """
-    inv_var = 1.0 / model.variances
     log_norm = -0.5 * (model.dim * np.log(2.0 * np.pi)
                        + np.log(model.variances).sum(axis=1))
-    # ||(x - mu) / sigma||^2 expanded to avoid the L x C x D intermediate
-    sq = (frames ** 2) @ inv_var.T
-    cross = frames @ (model.means * inv_var).T
-    const = ((model.means ** 2) * inv_var).sum(axis=1)
-    mahal = sq - 2.0 * cross + const[None, :]
+    mahal = sq_dists(frames, model.means, 1.0 / model.variances)
     return np.log(model.weights)[None, :] + log_norm[None, :] - 0.5 * mahal
 
 
@@ -145,7 +146,7 @@ def _kmeans(frames: np.ndarray, num_components: int, iters: int,
     n = frames.shape[0]
     centers = frames[rng.choice(n, num_components, replace=False)].copy()
     for _ in range(iters):
-        d2 = ((frames[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = sq_dists(frames, centers)
         assign = np.argmin(d2, axis=1)
         for c in range(num_components):
             members = frames[assign == c]
@@ -180,8 +181,7 @@ def em_fit(frames: np.ndarray, num_components: int, iters: int,
     var_floor = np.maximum(VAR_FLOOR_FRACTION * global_var, 1e-12)
 
     centers = _kmeans(frames, num_components, 10, rng)
-    d2 = ((frames[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    assign = np.argmin(d2, axis=1)
+    assign = np.argmin(sq_dists(frames, centers), axis=1)
     counts = np.bincount(assign, minlength=num_components).astype(np.float64)
     counts = np.maximum(counts, 1.0)
     weights = counts / counts.sum()

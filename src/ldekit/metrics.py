@@ -184,12 +184,10 @@ def cavg(trials: TrialSet) -> float:
 @dataclass
 class FusionWeights:
     weights: np.ndarray  # one scalar per system
-    bias: float = 0.0
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-        if not (np.all(np.isfinite(self.weights))
-                and np.isfinite(self.bias)):
+        if not np.all(np.isfinite(self.weights)):
             raise ValueError("fusion weights must be finite")
 
 
@@ -221,17 +219,17 @@ def _aligned_systems(systems: list[TrialSet]):
 
 
 def fuse(systems: list[TrialSet], fusion: FusionWeights) -> TrialSet:
-    """Per-class weighted sum of system scores plus a shared bias."""
+    """Per-class weighted sum of system scores."""
     names, order, labels, tensor = _aligned_systems(systems)
     if fusion.weights.size != len(systems):
         raise ValueError(f"{fusion.weights.size} weights for "
                          f"{len(systems)} systems")
-    fused = np.tensordot(fusion.weights, tensor, axes=(0, 0)) + fusion.bias
+    fused = np.tensordot(fusion.weights, tensor, axes=(0, 0))
     return TrialSet.from_arrays(names, order, labels, fused)
 
 
-def _fusion_loss_grad(weights, bias, tensor, labels):
-    logits = np.tensordot(weights, tensor, axes=(0, 0)) + bias
+def _fusion_loss_grad(weights, tensor, labels):
+    logits = np.tensordot(weights, tensor, axes=(0, 0))
     z = log_sum_exp_rows(logits)
     n = logits.shape[0]
     loss = float(np.mean(z - logits[np.arange(n), labels]))
@@ -244,8 +242,8 @@ def _fusion_loss_grad(weights, bias, tensor, labels):
 def train_fusion(systems: list[TrialSet], iterations: int = 500,
                  lr: float = 0.5, grad_tol: float = 1e-9) -> FusionWeights:
     """Gradient descent on the multiclass cross-entropy of the fused
-    logits. The shared bias has exactly zero gradient under softmax, so
-    it stays at its zero initialization; weights start at 1/S.
+    logits; weights start at 1/S. There is no bias: a shift shared by
+    every class has zero gradient under softmax.
 
     Warns and returns the best iterate seen if the gradient has not
     vanished within the iteration budget.
@@ -257,11 +255,10 @@ def train_fusion(systems: list[TrialSet], iterations: int = 500,
         raise ValueError(f"need at least 2 trials per class, short on {thin}")
     num_systems = len(systems)
     weights = np.full(num_systems, 1.0 / num_systems)
-    bias = 0.0
     if iterations == 0:
-        return FusionWeights(weights, bias)
+        return FusionWeights(weights)
 
-    loss, grad = _fusion_loss_grad(weights, bias, tensor, labels)
+    loss, grad = _fusion_loss_grad(weights, tensor, labels)
     best_loss, best_w = loss, weights.copy()
     converged = False
     for _ in range(iterations):
@@ -269,8 +266,7 @@ def train_fusion(systems: list[TrialSet], iterations: int = 500,
             converged = True
             break
         candidate = weights - lr * grad
-        cand_loss, cand_grad = _fusion_loss_grad(candidate, bias, tensor,
-                                                 labels)
+        cand_loss, cand_grad = _fusion_loss_grad(candidate, tensor, labels)
         if cand_loss <= loss:
             weights, loss, grad = candidate, cand_loss, cand_grad
             lr *= 1.1
@@ -285,8 +281,8 @@ def train_fusion(systems: list[TrialSet], iterations: int = 500,
         warnings.warn("fusion training did not converge within the "
                       "iteration budget; returning the best iterate",
                       RuntimeWarning)
-        return FusionWeights(best_w, bias)
-    return FusionWeights(weights, bias)
+        return FusionWeights(best_w)
+    return FusionWeights(weights)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Dense numeric substrate shared by every other module.
 
-Matrices are plain 2-D float64 C-order numpy arrays (row-major, no
-broadcasting surprises at the API level). Randomness goes through `Rng`,
+Frame-to-center squared distances for hard assignment and for every
+mixture computation come from `sq_dists`. Randomness goes through `Rng`,
 a counter-based Philox generator that can be split into independent,
 reproducible child streams so data generation, parameter init and batch
 cropping never perturb each other's draws.
@@ -18,28 +18,17 @@ class DimensionError(ValueError):
     """Shapes of the operands do not line up."""
 
 
-def as_matrix(a, rows=None, cols=None) -> np.ndarray:
-    """Coerce to a 2-D float64 C-order array, optionally checking the shape."""
-    m = np.ascontiguousarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if rows is not None and m.shape[0] != rows:
-        raise DimensionError(f"expected {rows} rows, got {m.shape[0]}")
-    if cols is not None and m.shape[1] != cols:
-        raise DimensionError(f"expected {cols} cols, got {m.shape[1]}")
-    return m
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"matmul: inner dimensions differ ({a.shape[0]}x{a.shape[1]} by "
-            f"{b.shape[0]}x{b.shape[1]})"
-        )
-    return a @ b
+def sq_dists(frames: np.ndarray, centers: np.ndarray,
+             inv_var: np.ndarray | None = None) -> np.ndarray:
+    """N x C squared distances from N x D frames to C x D centers, each
+    coordinate weighted per center by `inv_var` when given. Expanded as
+    ||x||^2 - 2 x.mu + ||mu||^2 to avoid an N x C x D intermediate."""
+    if inv_var is None:
+        inv_var = np.ones_like(centers)
+    sq = (frames ** 2) @ inv_var.T
+    cross = frames @ (centers * inv_var).T
+    const = ((centers ** 2) * inv_var).sum(axis=1)
+    return sq - 2.0 * cross + const[None, :]
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:
@@ -96,20 +85,6 @@ class Rng:
 
     def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
         return self._gen.choice(n, size=size, replace=replace)
-
-    def state(self) -> dict:
-        """JSON-serializable snapshot of the generator state."""
-        st = self._gen.bit_generator.state
-        return {
-            "seed": self.seed,
-            "spawn_key": list(self.spawn_key),
-            "counter": [int(v) for v in st["state"]["counter"]],
-            "key": [int(v) for v in st["state"]["key"]],
-            "buffer": [int(v) for v in st["buffer"]],
-            "buffer_pos": int(st["buffer_pos"]),
-            "has_uint32": int(st["has_uint32"]),
-            "uinteger": int(st["uinteger"]),
-        }
 
 
 def rng_gaussian(rng: Rng, rows: int, cols: int, mean: float = 0.0,

@@ -510,10 +510,9 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def save_model(path, model: Model, epoch: int | None = None,
-               rng_state: dict | None = None,
                extra_meta: dict | None = None) -> None:
     meta = {"kind": "model", "config": model_config_to_dict(model.cfg),
-            "epoch": epoch, "rng": rng_state}
+            "epoch": epoch}
     if extra_meta:
         meta.update(extra_meta)
     save_checkpoint(path, meta, params=model.params())

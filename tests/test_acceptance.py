@@ -13,7 +13,14 @@ import pytest
 from fdcheck import central_diff, rel_err
 from test_metrics import brute_force_eer, hand_three_class_set
 
-from ldekit.data import SyntheticSpec, generate_corpus, sdc
+from ldekit.cli import (
+    fit_gmm_bank,
+    score_corpus,
+    score_gmm_bank,
+    train_from_config,
+)
+from ldekit.config import EncoderSettings, GmmSettings, RunConfig, TrainSettings
+from ldekit.data import SyntheticSpec, generate_corpus
 from ldekit.encoding import (
     AGG_MEAN,
     AGG_NORMALIZED,
@@ -33,7 +40,7 @@ from ldekit.frontend import (
     frontend_backward,
     frontend_forward,
 )
-from ldekit.gmm import accumulate_stats, em_fit, gmm_classify, log_posterior_scores
+from ldekit.gmm import accumulate_stats, em_fit
 from ldekit.metrics import (
     TrialScore,
     TrialSet,
@@ -50,10 +57,8 @@ from ldekit.train import (
     LinearClassifier,
     Model,
     ModelConfig,
-    SgdConfig,
     batch_loss,
     infer,
-    train_model,
 )
 
 
@@ -381,44 +386,21 @@ def default_corpus():
 
 
 def desk_model(encoder, seed, spec, train_utts, epochs, components=8):
-    fe = ConvSpec.desk_default(spec.feature_dim)
-    lde = None
-    if encoder == ENCODER_LDE:
-        lde = LdeConfig(num_components=components, feature_dim=fe.out_dim,
-                        aggregation_mode=AGG_NORMALIZED,
-                        length_normalize=True)
-    cfg = ModelConfig(in_dim=spec.feature_dim, num_classes=spec.num_classes,
-                      encoder=encoder, lde=lde, frontend=fe)
-    root = Rng(seed)
-    model = Model(cfg, root.split(0))
-    train_model(model, train_utts, SgdConfig().scaled(epochs), root.split(1))
+    """The desk recipe through the CLI's training stage: default front-end
+    and crops, normalized aggregation for the dictionary encoder."""
+    rc = RunConfig(encoder=EncoderSettings(model=encoder,
+                                           components=components,
+                                           aggregation=AGG_NORMALIZED),
+                   train=TrainSettings(epochs=epochs, seed=seed))
+    model, _ = train_from_config(rc, train_utts, spec.num_classes,
+                                 spec.feature_dim)
     return model
 
 
-def score_set(model, utts, names):
-    return TrialSet(names, [TrialScore(u.id, u.label,
-                                       infer(model, u.features))
-                            for u in utts])
-
-
 def desk_gmm_eer(spec, train_utts, test_utts):
-    pooled = [[] for _ in range(spec.num_classes)]
-    for u in train_utts:
-        pooled[u.label].append(sdc(u.features).T)
-    rng = Rng(0)
-    models = []
-    for k in range(spec.num_classes):
-        frames = np.concatenate(pooled[k], axis=0)
-        if frames.shape[0] > 50000:
-            stride = -(-frames.shape[0] // 50000)
-            frames = frames[::stride]
-        fitted, _ = em_fit(frames, 16, 20, rng.split(k))
-        models.append(fitted)
-    trials = [TrialScore(u.id, u.label,
-                         log_posterior_scores(gmm_classify(models,
-                                                           sdc(u.features))))
-              for u in test_utts]
-    return eer_average(TrialSet(spec.class_names(), trials))
+    g = GmmSettings()
+    models, _, _ = fit_gmm_bank(train_utts, spec.num_classes, g)
+    return eer_average(score_gmm_bank(models, test_utts, spec.num_classes, g))
 
 
 def test_trend_experiment(default_corpus, report):
@@ -429,18 +411,18 @@ def test_trend_experiment(default_corpus, report):
     lengths = [u.num_frames for u in train_utts + test_utts]
     assert 100 <= min(lengths) and max(lengths) <= 1500
 
-    names = spec.class_names()
     tap_eers, lde_eers = [], []
     overfit_ok = True
     for seed in (0, 1, 2):
         for encoder, sink in ((ENCODER_TAP, tap_eers),
                               (ENCODER_LDE, lde_eers)):
             model = desk_model(encoder, seed, spec, train_utts, epochs=30)
-            test_eer = eer_average(score_set(model, test_utts, names))
+            test_eer = eer_average(score_corpus(model, test_utts,
+                                                spec.num_classes))
             sink.append(test_eer)
             if seed == 0:
-                train_eer = eer_average(score_set(model, train_utts[:200],
-                                                  names))
+                train_eer = eer_average(score_corpus(
+                    model, train_utts[:200], spec.num_classes))
                 if train_eer > test_eer + 1e-9:
                     overfit_ok = False
                 report.note(f"{encoder} seed={seed}: train-split eer "
@@ -466,12 +448,11 @@ def test_trend_experiment(default_corpus, report):
 
 def test_component_sweep(default_corpus, report):
     spec, train_utts, test_utts = default_corpus
-    names = spec.class_names()
     rows = []
     for components in (2, 8, 32):
         model = desk_model(ENCODER_LDE, 0, spec, train_utts, epochs=10,
                            components=components)
-        trials = score_set(model, test_utts, names)
+        trials = score_corpus(model, test_utts, spec.num_classes)
         rows.append((components, model.cfg.encoder_dim,
                      eer_average(trials), cavg(trials)))
     report.note(f"{'components':>10} {'embed dim':>10} {'eer avg %':>10} "

@@ -171,11 +171,11 @@ def test_train_zero_lr_keeps_init(workspace):
     assert main(["train", "--config", config, "--force"]) == 0
     model, _ = load_model(tmp_path / "runs" / "model.ckpt")
 
-    from ldekit.cli import _model_config
+    from ldekit.cli import model_config
     from ldekit.config import load_config
     rc = load_config(config)
     utts, k, d = read_corpus(tmp_path / "data" / "train.bin")
-    init = Model(_model_config(rc, k, d), Rng(rc.train.seed).split(0))
+    init = Model(model_config(rc, k, d), Rng(rc.train.seed).split(0))
     for p, q in zip(init.params(), model.params()):
         assert p.name == q.name
         assert np.array_equal(p.value, q.value)
@@ -377,6 +377,14 @@ sdc_blocks = 2
 """, name="sdc.ini")
     assert main(["gen-data", "--config", config]) == 0
     assert main(["gmm", "--config", config]) == 0
+
+
+def test_gmm_truncated_corpus_header(workspace, capsys):
+    tmp_path, config = workspace
+    (tmp_path / "data" / "train.bin").write_bytes(b"LDEC\x01\x00")
+    code = main(["gmm", "--config", config])
+    assert code == 2
+    assert "data error" in capsys.readouterr().err
 
 
 def test_gmm_sdc_too_short(workspace, capsys):

@@ -293,6 +293,13 @@ class TestCorpusFile:
         with pytest.raises(CorpusFormatError, match="magic"):
             read_corpus(path)
 
+    @pytest.mark.parametrize("length", range(4, 16))
+    def test_truncated_header(self, tmp_path, length):
+        path = tmp_path / "short.bin"
+        path.write_bytes((b"LDEC" + b"\x01" + b"\0" * 11)[:length])
+        with pytest.raises(CorpusFormatError, match="truncated header"):
+            read_corpus(path)
+
     def test_bad_version(self, tmp_path):
         import struct
         path = tmp_path / "bad.bin"

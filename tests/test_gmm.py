@@ -196,6 +196,19 @@ class TestEmFit:
         model, _ = em_fit(frames, 2, 10, Rng(3))
         assert np.all(model.variances > 0)
 
+    def test_memory_stays_below_a_frames_by_centers_tensor(self):
+        import tracemalloc
+        n, d, c = 5000, 56, 16
+        frames = np.random.default_rng(12).normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            em_fit(frames, c, 2, Rng(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one N x C x D float64 array would take n * c * d * 8 bytes
+        assert peak < n * c * d * 8 / 2
+
 
 class TestGmmClassify:
     def test_identical_models_give_identical_scores(self):

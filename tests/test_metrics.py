@@ -266,14 +266,14 @@ class TestCavg:
 class TestFuse:
     def test_single_system_identity_bit_exact(self):
         ts = random_trial_set(Rng(9), k=3, n=15)
-        fused = fuse([ts], FusionWeights(np.array([1.0]), 0.0))
+        fused = fuse([ts], FusionWeights(np.array([1.0])))
         assert fused.ids() == ts.ids()
         assert np.array_equal(fused.score_matrix(), ts.score_matrix())
         assert np.array_equal(fused.labels(), ts.labels())
 
     def test_duplicate_systems_half_weights_identity(self):
         ts = random_trial_set(Rng(10), k=3, n=15)
-        fused = fuse([ts, ts], FusionWeights(np.array([0.5, 0.5]), 0.0))
+        fused = fuse([ts, ts], FusionWeights(np.array([0.5, 0.5])))
         assert np.array_equal(fused.score_matrix(), ts.score_matrix())
 
     def test_alignment_by_id_not_order(self):
@@ -325,14 +325,12 @@ class TestTrainFusion:
         good, noise = self.informative_and_noise()
         fw = train_fusion([good, noise], iterations=0)
         assert np.array_equal(fw.weights, [0.5, 0.5])
-        assert fw.bias == 0.0
 
     def test_noise_system_weight_shrinks(self):
         good, noise = self.informative_and_noise()
         fw = train_fusion([good, noise])
         assert abs(fw.weights[1]) <= 0.05
         assert fw.weights[0] > 0.5
-        assert fw.bias == 0.0  # softmax shift symmetry pins the bias
 
     def test_duplicate_systems_get_equal_weights(self):
         good, _ = self.informative_and_noise()

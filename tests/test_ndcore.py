@@ -6,47 +6,32 @@ from ldekit.ndcore import (
     Param,
     Rng,
     log_sum_exp_rows,
-    matmul,
     rng_gaussian,
     softmax_rows,
+    sq_dists,
 )
 
 
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), a), a)
+class TestSqDists:
+    @staticmethod
+    def direct(frames, centers, inv_var):
+        residuals = frames[:, None, :] - centers[None, :, :]
+        return np.einsum("ncd,cd,ncd->nc", residuals, inv_var, residuals)
 
-    def test_hand_1x2_by_2x1(self):
-        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        assert out.shape == (1, 1)
-        assert out[0, 0] == 11.0
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(5, 7))
-        b = rng.normal(size=(7, 3))
-        ref = np.zeros((5, 3))
-        for i in range(5):
-            for j in range(3):
-                for k in range(7):
-                    ref[i, j] += a[i, k] * b[k, j]
-        assert np.max(np.abs(matmul(a, b) - ref)) <= 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_associativity_on_random_triples(self):
-        rng = np.random.default_rng(11)
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_direct_residual_form(self, weighted):
+        rng = np.random.default_rng(17)
         for _ in range(20):
-            a = rng.normal(size=(4, 6))
-            b = rng.normal(size=(6, 5))
-            c = rng.normal(size=(5, 3))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            scale = max(1.0, np.max(np.abs(left)))
-            assert np.max(np.abs(left - right)) / scale <= 1e-9
+            n, c, d = rng.integers(1, 40), rng.integers(1, 10), rng.integers(1, 30)
+            frames = rng.normal(size=(n, d)) * 2.0
+            centers = rng.normal(size=(c, d))
+            inv_var = (1.0 / rng.uniform(0.2, 3.0, size=(c, d)) if weighted
+                       else None)
+            ref = self.direct(frames, centers,
+                              np.ones((c, d)) if inv_var is None else inv_var)
+            out = sq_dists(frames, centers, inv_var)
+            assert out.shape == (n, c)
+            assert np.max(np.abs(out - ref) / ref) <= 1e-10
 
 
 class TestSoftmaxRows:

@@ -378,7 +378,7 @@ class TestCheckpoints:
     def test_model_roundtrip_bit_exact(self, tmp_path):
         model = self.build_model()
         path = tmp_path / "model.ckpt"
-        save_model(path, model, epoch=7, rng_state={"note": "x"})
+        save_model(path, model, epoch=7)
         back, meta = load_model(path)
         assert meta["epoch"] == 7
         assert meta["config"] == model_config_to_dict(model.cfg)
