@@ -204,13 +204,14 @@ def cmd_eval(args) -> int:
             f"{args.corpus}: {num_classes} classes of dim {in_dim} but the "
             f"checkpoint expects {model.cfg.num_classes} of dim "
             f"{model.cfg.in_dim}")
+    det_paths = ([f"{args.det}.{name}.txt" for name in _class_names(num_classes)]
+                 if args.det is not None else [])
+    for det_path in det_paths:
+        _prepare_output(det_path, args.force)
     tset = score_corpus(model, utts, num_classes)
     write_scores(args.scores, tset)
-    if args.det is not None:
-        for k, name in enumerate(tset.class_names):
-            det_path = f"{args.det}.{name}.txt"
-            _prepare_output(det_path, args.force)
-            write_det_points(det_path, tset, k)
+    for k, det_path in enumerate(det_paths):
+        write_det_points(det_path, tset, k)
     print(f"scores: {args.scores}")
     _print_metrics("all", tset)
     _print_bucket_metrics(tset)
@@ -298,7 +299,7 @@ def cmd_gmm(args) -> int:
     models, histories, counts = fit_gmm_bank(train, num_classes, g)
     for k, (history, count) in enumerate(zip(histories, counts)):
         print(f"class L{k}: {g.components} components on "
-              f"{count} frames, final avg ll {history[-1]:.5f}")
+              f"{count} frames, final avg ll {history[-1] / count:.5f}")
     save_gmm_bank(rc.paths.gmm_checkpoint, models,
                   meta={"run_config": config_to_dict(rc)})
     tset = score_gmm_bank(models, test, num_classes, g)

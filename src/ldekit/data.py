@@ -16,6 +16,7 @@ and seed reproduce the file byte for byte.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -134,12 +135,15 @@ def _sample_utterance(gen: ClassGenerator, length: int, noise_std: float,
                       rng: Rng) -> np.ndarray:
     g, d = gen.centers.shape
     cum = np.cumsum(gen.transitions, axis=1)
-    phones = np.empty(length, dtype=np.int64)
-    phones[0] = rng.integers(0, g - 1)
+    phone = rng.integers(0, g - 1)
     u = rng.uniform((length,))
+    # successor of every phone for every frame's draw; rounding can push
+    # cum[-1] fractionally below 1, so the draw is clamped to the last phone
+    succ = [np.minimum(np.searchsorted(row, u), g - 1).tolist() for row in cum]
+    phones = [phone]
     for t in range(1, length):
-        # rounding can push cum[-1] fractionally below 1, clamp the draw
-        phones[t] = min(np.searchsorted(cum[phones[t - 1]], u[t]), g - 1)
+        phone = succ[phone][t]
+        phones.append(phone)
     frames = gen.centers[phones]
     if noise_std > 0:
         frames = frames + rng.normal((length, d), std=noise_std)
@@ -266,43 +270,48 @@ def write_corpus(path, utts: list[Utterance], num_classes: int,
 
 
 def read_corpus(path) -> tuple[list[Utterance], int, int]:
-    """Returns (utterances, num_classes, feature_dim)."""
+    """Returns (utterances, num_classes, feature_dim).
+
+    Frames are read straight into their final arrays, so reading never
+    holds a second copy of the file.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise CorpusFormatError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 16:
-        raise CorpusFormatError(f"{path}: truncated header")
-    version, num_classes, feature_dim = struct.unpack_from("<III", blob, 4)
-    if version != FORMAT_VERSION:
-        raise CorpusFormatError(f"{path}: unsupported version {version}")
-    off = 16
-    utts = []
-    ids = set()
-    while off < len(blob):
-        if off + 4 > len(blob):
-            raise CorpusFormatError(f"{path}: truncated record header")
-        (id_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        if off + id_len + 12 > len(blob):
-            raise CorpusFormatError(f"{path}: truncated record")
-        ident = blob[off:off + id_len].decode("utf-8")
-        off += id_len
-        label, length, dim = struct.unpack_from("<III", blob, off)
-        off += 12
-        if dim != feature_dim:
-            raise CorpusFormatError(f"{path}: record dim {dim} != header "
-                                    f"{feature_dim}")
-        if label >= num_classes:
-            raise CorpusFormatError(f"{path}: label {label} out of range")
-        if ident in ids:
-            raise CorpusFormatError(f"{path}: duplicate utterance id {ident}")
-        ids.add(ident)
-        nbytes = dim * length * 8
-        if off + nbytes > len(blob):
-            raise CorpusFormatError(f"{path}: truncated frame data for {ident}")
-        feats = np.frombuffer(blob, dtype="<f8", count=dim * length,
-                              offset=off).reshape(dim, length).copy()
-        off += nbytes
-        utts.append(Utterance(id=ident, label=label, features=feats))
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(16)
+        if head[:4] != MAGIC:
+            raise CorpusFormatError(f"{path}: bad magic {head[:4]!r}")
+        if len(head) < 16:
+            raise CorpusFormatError(f"{path}: truncated header")
+        version, num_classes, feature_dim = struct.unpack_from("<III", head, 4)
+        if version != FORMAT_VERSION:
+            raise CorpusFormatError(f"{path}: unsupported version {version}")
+        utts = []
+        ids = set()
+        while True:
+            record = fh.read(4)
+            if not record:
+                break
+            if len(record) < 4:
+                raise CorpusFormatError(f"{path}: truncated record header")
+            (id_len,) = struct.unpack("<I", record)
+            if fh.tell() + id_len + 12 > size:
+                raise CorpusFormatError(f"{path}: truncated record")
+            record = fh.read(id_len + 12)
+            ident = record[:id_len].decode("utf-8")
+            label, length, dim = struct.unpack_from("<III", record, id_len)
+            if dim != feature_dim:
+                raise CorpusFormatError(f"{path}: record dim {dim} != header "
+                                        f"{feature_dim}")
+            if label >= num_classes:
+                raise CorpusFormatError(f"{path}: label {label} out of range")
+            if ident in ids:
+                raise CorpusFormatError(f"{path}: duplicate utterance id {ident}")
+            ids.add(ident)
+            if fh.tell() + dim * length * 8 > size:
+                raise CorpusFormatError(f"{path}: truncated frame data for {ident}")
+            feats = np.empty((dim, length), dtype="<f8")
+            if fh.readinto(feats) != feats.nbytes:
+                raise CorpusFormatError(f"{path}: truncated frame data for {ident}")
+            utts.append(Utterance(id=ident, label=label,
+                                  features=feats.astype(np.float64, copy=False)))
     return utts, num_classes, feature_dim

@@ -17,7 +17,7 @@ whole-vector length normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,97 +124,106 @@ class Dictionary:
 
 @dataclass
 class EncodedVector:
-    """Fixed-size utterance representation: C x D matrix, flat view C*D."""
+    """Fixed-size utterance representation: C x D matrix, flat view C*D.
+
+    A batched encode keeps the leading batch axis on `e` and on both
+    flags: `zero_norm` (the norm was too small to length-normalize) and
+    `floored` (C bools, True where the aggregation denominator was
+    clamped).
+    """
 
     e: np.ndarray
-    zero_norm: bool = False
-    floored_components: list = field(default_factory=list)
+    zero_norm: np.ndarray
+    floored: np.ndarray
 
     @property
     def flat(self) -> np.ndarray:
-        return self.e.reshape(-1)
+        return self.e.reshape(*self.e.shape[:-2], -1)
 
 
 @dataclass
 class LdeSaved:
-    """Everything the backward pass needs; nothing is recomputed."""
+    """Everything the backward pass needs; only the norms of `pre_norm` are
+    recomputed. Always batched: a 2-D input is saved as a batch of one."""
 
-    frames: np.ndarray        # L x D input, frames as rows
-    residuals: np.ndarray     # L x C x D, frame minus center
-    sq_dists: np.ndarray      # L x C
-    weights: np.ndarray       # L x C, rows sum to 1
+    x: np.ndarray             # B x D x L input
+    centers: np.ndarray       # C x D centers used in forward
+    sq_dists: np.ndarray      # B x L x C
+    weights: np.ndarray       # B x L x C, rows sum to 1
     s_eff: np.ndarray         # C, effective smoothing actually used
-    denom: np.ndarray | None  # C, aggregation denominators (normalized mode)
-    denom_floored: np.ndarray | None  # C bools, True where denom was clamped
-    pre_norm: np.ndarray      # C*D flat vector before length normalization
-    norm: float               # its Euclidean norm
+    denom: np.ndarray         # B x C aggregation denominators (L in mean mode)
+    floored: np.ndarray       # B x C bools, True where denom was clamped
+    pre_norm: np.ndarray      # B x C*D vectors before length normalization
+    zero_norm: np.ndarray     # B bools, True where normalization was skipped
+    single: bool              # input was one D x L sequence
     cfg: LdeConfig
 
 
-def _check_input(x: np.ndarray, feature_dim: int) -> np.ndarray:
+def _as_batch(x: np.ndarray, feature_dim: int) -> tuple[np.ndarray, bool]:
+    """(B, D, L) view of a D x L sequence or a batch of them."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != feature_dim:
+    if x.ndim not in (2, 3) or x.shape[-2] != feature_dim:
         raise DimensionError(
-            f"expected a {feature_dim} x L feature sequence, got shape {x.shape}"
-        )
-    if x.shape[1] < 1:
+            f"expected a {feature_dim} x L feature sequence or a batch of "
+            f"them, got shape {x.shape}")
+    if x.shape[-1] < 1:
         raise EmptySequenceError("feature sequence has no frames")
-    return x
+    return (x[None], True) if x.ndim == 2 else (x, False)
 
 
 def lde_forward(x: np.ndarray, dictionary: Dictionary,
                 cfg: LdeConfig) -> tuple[EncodedVector, LdeSaved]:
-    """Encode a D x L sequence into a C x D utterance vector.
+    """Encode a D x L sequence into a C x D utterance vector, or a
+    (B, D, L) batch into (B, C, D).
 
     Weights: w[t, c] = softmax over c of -s_c * ||x_t - mu_c||^2, with s_c
     either the shared constant or softplus of the learnable raw smoothing.
     Aggregation: sum_t w[t, c] * (x_t - mu_c), divided by sum_t w[t, c]
     in normalized mode or by L in mean mode. Length normalization, when
     configured, rescales the flattened C*D vector to unit Euclidean norm.
+
+    Distances are expanded as ||x||^2 - 2 x.mu + ||mu||^2 and the residual
+    sum as W^T X - (sum_t w[t, c]) mu_c, so no L x C x D tensor is built.
     """
     if (dictionary.num_components != cfg.num_components
             or dictionary.feature_dim != cfg.feature_dim):
         raise DimensionError("dictionary shape does not match config")
-    x = _check_input(x, cfg.feature_dim)
-    frames = x.T  # L x D
-    num_frames = frames.shape[0]
+    x, single = _as_batch(x, cfg.feature_dim)
+    batch, _, num_frames = x.shape
+    frames = x.transpose(0, 2, 1)  # B x L x D view
+    centers = dictionary.centers.value.copy()  # updates are in place
 
-    residuals = frames[:, None, :] - dictionary.centers.value[None, :, :]
-    sq_dists = np.einsum("tcd,tcd->tc", residuals, residuals)
+    sq = sq_dists(frames, centers)
     if cfg.smoothing_mode == SMOOTHING_SHARED:
         s_eff = np.full(cfg.num_components, float(cfg.beta))
     else:
         s_eff = dictionary.effective_smoothing()
-    weights = softmax_rows(-sq_dists * s_eff[None, :])
+    weights = softmax_rows(-sq * s_eff)
 
-    weighted = np.einsum("tc,tcd->cd", weights, residuals)
+    mass = weights.sum(axis=1)  # B x C
+    e = np.matmul(weights.transpose(0, 2, 1), frames)
+    e -= mass[:, :, None] * centers
     if cfg.aggregation_mode == AGG_MEAN:
-        e = weighted / num_frames
-        denom = None
-        floored = None
-        floored_list = []
+        denom = np.full_like(mass, float(num_frames))
+        floored = np.zeros(mass.shape, dtype=bool)
     else:
-        mass = weights.sum(axis=0)
         floored = mass < DENOM_FLOOR
         denom = np.maximum(mass, DENOM_FLOOR)
-        e = weighted / denom[:, None]
-        floored_list = list(np.flatnonzero(floored))
+    e /= denom[:, :, None]
 
-    pre_norm = e.reshape(-1).copy()
-    norm = float(np.linalg.norm(pre_norm))
-    zero_norm = False
+    pre_norm = e.reshape(batch, -1)
+    zero_norm = np.zeros(batch, dtype=bool)
     if cfg.length_normalize:
-        if norm > DENOM_FLOOR:
-            e = (pre_norm / norm).reshape(e.shape)
-        else:
-            zero_norm = True
+        flat, zero_norm = length_normalize(pre_norm)
+        e = flat.reshape(e.shape)
 
-    saved = LdeSaved(frames=frames, residuals=residuals, sq_dists=sq_dists,
-                     weights=weights, s_eff=s_eff, denom=denom,
-                     denom_floored=floored, pre_norm=pre_norm, norm=norm,
-                     cfg=cfg)
-    return EncodedVector(e=e, zero_norm=zero_norm,
-                         floored_components=floored_list), saved
+    saved = LdeSaved(x=x, centers=centers, sq_dists=sq, weights=weights,
+                     s_eff=s_eff, denom=denom, floored=floored,
+                     pre_norm=pre_norm, zero_norm=zero_norm,
+                     single=single, cfg=cfg)
+    if single:
+        return EncodedVector(e[0], bool(zero_norm[0]), floored[0]), saved
+    return EncodedVector(e, zero_norm, floored), saved
 
 
 def lde_backward(saved: LdeSaved, grad_out: np.ndarray,
@@ -222,76 +231,91 @@ def lde_backward(saved: LdeSaved, grad_out: np.ndarray,
     """Backprop through the encoder.
 
     `grad_out` is the loss gradient w.r.t. the layer output (C x D or flat
-    C*D). Returns the gradient w.r.t. the D x L input and accumulates the
-    center and smoothing gradients into the dictionary Params.
+    C*D, with a leading batch axis for a batched forward). Returns the
+    gradient w.r.t. the input, shaped like it, and accumulates the center
+    and smoothing gradients (summed over the batch) into the dictionary
+    Params.
     """
     if cfg is not saved.cfg and cfg != saved.cfg:
         raise DimensionError("config does not match the one used in forward")
-    num_frames, num_comp = saved.weights.shape
-    dim = saved.frames.shape[1]
-    g = np.asarray(grad_out, dtype=np.float64).reshape(num_comp, dim).copy()
+    batch, _, num_comp = saved.weights.shape
+    x, centers, weights = saved.x, saved.centers, saved.weights
+    frames = x.transpose(0, 2, 1)
+    dim = x.shape[1]
+    g = np.asarray(grad_out, dtype=np.float64).reshape(batch, num_comp * dim)
 
-    if cfg.length_normalize and not (saved.norm <= DENOM_FLOOR):
-        # y = v / ||v||  =>  dv = (g - (g . y) y) / ||v||
-        gf = g.reshape(-1)
-        y = saved.pre_norm / saved.norm
-        g = ((gf - np.dot(gf, y) * y) / saved.norm).reshape(num_comp, dim)
+    if cfg.length_normalize:
+        # y = v / ||v||  =>  dv = (g - (g . y) y) / ||v||, per member whose
+        # norm was not floored
+        live = ~saved.zero_norm
+        norm = np.sqrt(np.einsum("bi,bi->b", saved.pre_norm, saved.pre_norm))
+        norm = np.where(live, norm, 1.0)[:, None]
+        y = saved.pre_norm / norm
+        g_dot_y = np.einsum("bi,bi->b", g, y)[:, None]
+        g = np.where(live[:, None], (g - g_dot_y * y) / norm, g)
+    g = g.reshape(batch, num_comp, dim)
 
-    # dL/dw[t,c] and the direct residual path of the aggregation
-    g_dot_r = np.einsum("cd,tcd->tc", g, saved.residuals)
-    if cfg.aggregation_mode == AGG_MEAN:
-        dw = g_dot_r / num_frames
-        dres = (saved.weights / num_frames)[:, :, None] * g[None, :, :]
-    else:
-        denom = saved.denom
-        e = saved.pre_norm.reshape(num_comp, dim)
-        dw = g_dot_r / denom[None, :]
+    # dL/dw[t,c] = g_c . (x_t - mu_c) / denom_c
+    g_dot_r = np.matmul(frames, g.transpose(0, 2, 1))
+    g_dot_r -= np.einsum("bcd,cd->bc", g, centers)[:, None, :]
+    dw = g_dot_r / saved.denom[:, None, :]
+    if cfg.aggregation_mode == AGG_NORMALIZED:
         # denominator path: e_c = S_c / W_c adds -(g . e_c) / W_c, absent
         # where the floor clamped the denominator
-        live = ~saved.denom_floored
-        g_dot_e = np.einsum("cd,cd->c", g, e)
-        dw[:, live] -= (g_dot_e / denom)[None, live]
-        dres = (saved.weights / denom[None, :])[:, :, None] * g[None, :, :]
+        e = saved.pre_norm.reshape(g.shape)
+        g_dot_e = np.einsum("bcd,bcd->bc", g, e)
+        dw -= np.where(saved.floored, 0.0, g_dot_e / saved.denom)[:, None, :]
 
     # softmax over centers: u[t,c] = w[t,c] * (dw[t,c] - sum_m dw[t,m] w[t,m])
-    u = saved.weights * (dw - np.einsum("tm,tm->t", dw, saved.weights)[:, None])
+    u = weights * (dw - np.einsum("blm,blm->bl", dw, weights)[:, :, None])
+    ds_eff = -np.einsum("blc,blc->c", u, saved.sq_dists)
 
-    # logits a[t,c] = -s_c * d[t,c]
-    dsq = -u * saved.s_eff[None, :]
-    ds_eff = -np.einsum("tc,tc->c", u, saved.sq_dists)
+    # d(loss)/d(x_t - mu_c) = a[t,c] g_c + q[t,c] (x_t - mu_c), with the
+    # aggregation coefficient a = w / denom and q = 2 * dL/d(sq dist)
+    a = weights / saved.denom[:, None, :]
+    q = -2.0 * u * saved.s_eff
+    q_rows = q.sum(axis=2)  # B x L
+    grad_x = np.matmul(g.transpose(0, 2, 1), a.transpose(0, 2, 1))
+    grad_x -= np.matmul(centers.T, q.transpose(0, 2, 1))
+    grad_x += x * q_rows[:, None, :]
 
-    dres += (2.0 * dsq)[:, :, None] * saved.residuals
-
-    grad_frames = dres.sum(axis=1)            # L x D
-    dictionary.centers.grad -= dres.sum(axis=0)
+    grad_centers = np.einsum("bc,bcd->cd", a.sum(axis=1), g)
+    grad_centers += np.matmul(q.transpose(0, 2, 1), frames).sum(axis=0)
+    grad_centers -= q.sum(axis=(0, 1))[:, None] * centers
+    dictionary.centers.grad -= grad_centers
     if cfg.smoothing_mode == SMOOTHING_PER_COMPONENT:
         # chain through softplus: d s_eff / d raw = sigmoid(raw)
         raw = dictionary.smoothing.value[:, 0]
         sig = 1.0 / (1.0 + np.exp(-raw))
         dictionary.smoothing.grad[:, 0] += ds_eff * sig
-    return grad_frames.T
+    return grad_x[0] if saved.single else grad_x
 
 
 def tap_forward(x: np.ndarray) -> np.ndarray:
-    """Temporal average: D x L sequence to a length-D vector."""
+    """Temporal average: a D x L sequence to a length-D vector, or a
+    (B, D, L) batch to (B, D)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise DimensionError(f"expected a D x L sequence, got shape {x.shape}")
-    if x.shape[1] < 1:
+    if x.ndim not in (2, 3):
+        raise DimensionError(f"expected a D x L sequence or a batch of them, "
+                             f"got shape {x.shape}")
+    if x.shape[-1] < 1:
         raise EmptySequenceError("feature sequence has no frames")
-    return x.mean(axis=1)
+    return x.mean(axis=-1)
 
 
-def length_normalize(v: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Scale to unit Euclidean norm; zero-norm inputs pass through flagged."""
+def length_normalize(v: np.ndarray) -> tuple[np.ndarray, np.ndarray | bool]:
+    """Scale a vector, or each row of a matrix, to unit Euclidean norm;
+    zero-norm rows pass through unscaled and flagged."""
     v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if norm > DENOM_FLOOR:
-        return v / norm, False
-    return v.copy(), True
+    norm = np.sqrt(np.einsum("...i,...i->...", v, v))
+    flag = norm <= DENOM_FLOOR
+    out = v / np.where(flag, 1.0, norm)[..., None]
+    return out, (bool(flag) if flag.ndim == 0 else flag)
 
 
 def hard_assign(x: np.ndarray, dictionary: Dictionary) -> np.ndarray:
     """Per-frame index of the nearest center; ties go to the lowest index."""
-    x = _check_input(x, dictionary.feature_dim)
-    return np.argmin(sq_dists(x.T, dictionary.centers.value), axis=1)
+    x, single = _as_batch(x, dictionary.feature_dim)
+    if not single:
+        raise DimensionError(f"expected one D x L sequence, got {x.shape}")
+    return np.argmin(sq_dists(x[0].T, dictionary.centers.value), axis=1)

@@ -9,8 +9,10 @@ zero-padded channels), so a block with all-zero weights is exactly the
 (possibly downsampled) identity. Forward and backward are written by
 hand; there is no autodiff anywhere in this package.
 
-Internally everything is batched as (B, channels, length); the public
-single-utterance API adds and strips the batch axis.
+Everything is batched as (B, channels, length); the public
+single-utterance API adds and strips the batch axis. Each convolution's
+forward pass, weight gradient and input gradient are BLAS matrix
+products over the whole batch against an im2col patch matrix.
 """
 
 from __future__ import annotations
@@ -115,8 +117,31 @@ def _same_padding(length: int, kernel: int, stride: int):
     return out_len, left, total - left
 
 
+def _tap_windows(length: int, kernel: int, stride: int):
+    """Per kernel tap k: the output positions [lo, hi) whose input index
+    j * stride + k - left lies inside the sequence, and the input slice
+    they read. Outside that window a tap sees same-padding zeros."""
+    out_len, left, _ = _same_padding(length, kernel, stride)
+    windows = []
+    for k in range(kernel):
+        offset = k - left
+        lo = max(0, -(offset // stride))
+        hi = max(lo, min(out_len, (length - 1 - offset) // stride + 1))
+        start = lo * stride + offset
+        windows.append((lo, hi, slice(start, start + (hi - lo - 1) * stride + 1,
+                                      stride)))
+    return out_len, windows
+
+
 class Conv1d:
-    """Cross-correlation over time with same-padding and optional stride."""
+    """Cross-correlation over time with same-padding and optional stride.
+
+    Forward multiplies the weights into an im2col patch matrix; backward
+    takes the weight gradient as per-member patch products summed over
+    the batch and the input gradient as the transposed product. Patches
+    are read, and input gradients scattered, tap by tap inside each tap's
+    in-range window (`_tap_windows`), so no padded copy is built.
+    """
 
     def __init__(self, name, in_channels, out_channels, kernel, stride,
                  rng: Rng | None = None):
@@ -137,34 +162,37 @@ class Conv1d:
 
     def forward(self, x: np.ndarray):
         batch, _, length = x.shape
-        out_len, left, right = _same_padding(length, self.kernel, self.stride)
-        xp = np.pad(x, ((0, 0), (0, 0), (left, right)))
-        # patches[b, i, k, j] = xp[b, i, j*stride + k]
+        out_len, windows = _tap_windows(length, self.kernel, self.stride)
+        # patches[b, i, k, j] = x[b, i, j*stride + k - left], zero outside
         patches = np.empty((batch, self.in_channels, self.kernel, out_len))
-        span = self.stride * (out_len - 1) + 1
-        for k in range(self.kernel):
-            patches[:, :, k, :] = xp[:, :, k:k + span:self.stride]
+        for k, (lo, hi, src) in enumerate(windows):
+            patches[:, :, k, :lo] = 0.0
+            patches[:, :, k, lo:hi] = x[:, :, src]
+            patches[:, :, k, hi:] = 0.0
         flat = patches.reshape(batch, self.in_channels * self.kernel, out_len)
         w2 = self.weight.value.reshape(self.out_channels, -1)
-        y = np.matmul(w2, flat) + self.bias.value[None, :, None]
-        cache = (flat, length, left, out_len)
-        return y, cache
+        y = np.matmul(w2, flat)
+        y += self.bias.value[:, None]
+        return y, (flat, length)
 
-    def backward(self, cache, dy: np.ndarray) -> np.ndarray:
-        flat, length, left, out_len = cache
+    def backward(self, cache, dy: np.ndarray, input_grad: bool = True):
+        """Accumulates the parameter gradients; returns the input gradient,
+        or None when `input_grad` is false."""
+        flat, length = cache
         batch = dy.shape[0]
         self.bias.grad += dy.sum(axis=(0, 2))
-        self.weight.grad += np.einsum("bol,bml->om", dy, flat).reshape(
-            self.weight.value.shape)
+        self.weight.grad += np.matmul(dy, flat.transpose(0, 2, 1)).sum(
+            axis=0).reshape(self.weight.value.shape)
+        if not input_grad:
+            return None
+        out_len, windows = _tap_windows(length, self.kernel, self.stride)
         w2 = self.weight.value.reshape(self.out_channels, -1)
-        dflat = np.matmul(w2.T, dy)
-        dpatches = dflat.reshape(batch, self.in_channels, self.kernel, out_len)
-        _, pl, pr = _same_padding(length, self.kernel, self.stride)
-        dxp = np.zeros((batch, self.in_channels, length + pl + pr))
-        span = self.stride * (out_len - 1) + 1
-        for k in range(self.kernel):
-            dxp[:, :, k:k + span:self.stride] += dpatches[:, :, k, :]
-        return dxp[:, :, left:left + length]
+        dpatches = np.matmul(w2.T, dy).reshape(
+            batch, self.in_channels, self.kernel, out_len)
+        dx = np.zeros((batch, self.in_channels, length))
+        for k, (lo, hi, src) in enumerate(windows):
+            dx[:, :, src] += dpatches[:, :, k, lo:hi]
+        return dx
 
 
 class ResidualBlock:
@@ -172,7 +200,8 @@ class ResidualBlock:
 
     out = shortcut(x) + conv2(act(conv1(act(x)))); conv1 carries the
     stride and the channel change, the shortcut is strided subsampling
-    plus zero-padded channels and has no parameters.
+    plus zero-padded channels and has no parameters: it is added onto
+    the first in_channels output channels.
     """
 
     def __init__(self, name, in_channels, out_channels, kernel, stride,
@@ -195,27 +224,17 @@ class ResidualBlock:
         a1, ca1 = _act_forward(self.activation, x)
         h1, cc1 = self.conv1.forward(a1)
         a2, ca2 = _act_forward(self.activation, h1)
-        h2, cc2 = self.conv2.forward(a2)
-        short = x[:, :, ::self.stride] if self.stride > 1 else x
-        if self.out_channels > self.in_channels:
-            pad = self.out_channels - self.in_channels
-            short = np.pad(short, ((0, 0), (0, pad), (0, 0)))
-        y = short + h2
-        return y, (ca1, cc1, ca2, cc2, x.shape)
+        y, cc2 = self.conv2.forward(a2)
+        y[:, :self.in_channels, :] += x[:, :, ::self.stride]
+        return y, (ca1, cc1, ca2, cc2)
 
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
-        ca1, cc1, ca2, cc2, x_shape = cache
+        ca1, cc1, ca2, cc2 = cache
         da2 = self.conv2.backward(cc2, dy)
         dh1 = _act_backward(self.activation, ca2, da2)
         da1 = self.conv1.backward(cc1, dh1)
         dx = _act_backward(self.activation, ca1, da1)
-        dshort = dy[:, :self.in_channels, :]
-        if self.stride > 1:
-            dx_short = np.zeros(x_shape)
-            dx_short[:, :, ::self.stride] = dshort
-            dx += dx_short
-        else:
-            dx += dshort
+        dx[:, :, ::self.stride] += dy[:, :self.in_channels, :]
         return dx
 
 
@@ -265,11 +284,14 @@ class Frontend:
             caches.append(cache)
         return h, FrontendSaved(caches=caches, was_2d=False)
 
-    def backward_batch(self, saved: FrontendSaved, dy: np.ndarray):
+    def backward_batch(self, saved: FrontendSaved, dy: np.ndarray,
+                       input_grad: bool = True):
+        """Accumulates the parameter gradients; returns the gradient w.r.t.
+        the input features, or None when `input_grad` is false."""
         caches = saved.caches
         for block, cache in zip(reversed(self.blocks), reversed(caches[1:])):
             dy = block.backward(cache, dy)
-        return self.stem.backward(caches[0], dy)
+        return self.stem.backward(caches[0], dy, input_grad)
 
 
 def frontend_forward(x: np.ndarray, state: Frontend):

@@ -207,7 +207,7 @@ def model_config_from_dict(d: dict) -> ModelConfig:
 @dataclass
 class BatchCache:
     frontend_saved: object
-    member_caches: list
+    encoder_saved: object  # LdeSaved, or the pooled length for TAP
     embeds: np.ndarray
 
 
@@ -247,18 +247,6 @@ class Model:
             frozen = {p.name for p in self.dictionary.params()}
         return [p for p in self.params() if p.name not in frozen]
 
-    def _encode(self, x: np.ndarray):
-        if self.cfg.encoder == ENCODER_LDE:
-            enc, saved = lde_forward(x, self.dictionary, self.cfg.lde)
-            return enc.flat, saved
-        return tap_forward(x), x.shape[1]
-
-    def _encode_backward(self, cache, dvec: np.ndarray) -> np.ndarray:
-        if self.cfg.encoder == ENCODER_LDE:
-            return lde_backward(cache, dvec, self.dictionary, self.cfg.lde)
-        length = cache
-        return np.tile((dvec / length)[:, None], (1, length))
-
     def forward_batch(self, feats: np.ndarray) -> tuple[np.ndarray, BatchCache]:
         """feats (B, D, L) -> logits (B, K) plus the backward cache."""
         feats = np.asarray(feats, dtype=np.float64)
@@ -270,23 +258,28 @@ class Model:
             hidden, fe_saved = self.frontend.forward_batch(feats)
         else:
             hidden, fe_saved = feats, None
-        embeds, caches = [], []
-        for member in hidden:
-            vec, cache = self._encode(member)
-            embeds.append(vec)
-            caches.append(cache)
-        embeds = np.stack(embeds)
+        if self.cfg.encoder == ENCODER_LDE:
+            enc, enc_saved = lde_forward(hidden, self.dictionary, self.cfg.lde)
+            embeds = enc.flat
+        else:
+            embeds, enc_saved = tap_forward(hidden), hidden.shape[2]
         logits = self.classifier.forward_batch(embeds)
-        return logits, BatchCache(fe_saved, caches, embeds)
+        return logits, BatchCache(fe_saved, enc_saved, embeds)
 
     def backward_batch(self, cache: BatchCache, dlogits: np.ndarray) -> None:
         """Accumulates parameter gradients for a batch scored by
         forward_batch."""
         dembeds = self.classifier.backward_batch(cache.embeds, dlogits)
-        dhidden = np.stack([self._encode_backward(c, g)
-                            for c, g in zip(cache.member_caches, dembeds)])
+        if self.cfg.encoder == ENCODER_LDE:
+            dhidden = lde_backward(cache.encoder_saved, dembeds,
+                                   self.dictionary, self.cfg.lde)
+        else:
+            length = cache.encoder_saved
+            dhidden = np.broadcast_to((dembeds / length)[:, :, None],
+                                      dembeds.shape + (length,))
         if self.frontend is not None:
-            self.frontend.backward_batch(cache.frontend_saved, dhidden)
+            self.frontend.backward_batch(cache.frontend_saved, dhidden,
+                                         input_grad=False)
 
     def zero_grads(self) -> None:
         for p in self.params():

@@ -3,7 +3,8 @@ import configparser
 import numpy as np
 import pytest
 
-from ldekit.cli import main
+from ldekit.cli import fit_gmm_bank, main
+from ldekit.config import load_config
 from ldekit.data import read_corpus
 from ldekit.metrics import read_scores
 from ldekit.ndcore import Rng
@@ -259,6 +260,22 @@ def test_eval_det_dump(workspace):
         assert float(first[1]) == 0.0 and float(first[2]) == 1.0
 
 
+def test_eval_det_refusal_writes_nothing(workspace, capsys):
+    tmp_path, config = trained(workspace)
+    (tmp_path / "runs" / "det.L1.txt").write_text("keep\n")
+    scores = tmp_path / "runs" / "fresh_scores.txt"
+    code = main(["eval",
+                 "--checkpoint", str(tmp_path / "runs" / "model.ckpt"),
+                 "--corpus", str(tmp_path / "data" / "test.bin"),
+                 "--scores", str(scores),
+                 "--det", str(tmp_path / "runs" / "det")])
+    assert code == 1
+    assert "det.L1.txt" in capsys.readouterr().err
+    assert not scores.exists()
+    assert not (tmp_path / "runs" / "det.L0.txt").exists()
+    assert (tmp_path / "runs" / "det.L1.txt").read_text() == "keep\n"
+
+
 def test_eval_corrupted_checkpoint(workspace, capsys):
     tmp_path, config = trained(workspace)
     ckpt = tmp_path / "runs" / "model.ckpt"
@@ -353,6 +370,20 @@ def test_gmm_end_to_end(workspace, capsys):
     assert meta["run_config"]["gmm"]["components"] == 2
     trials = read_scores(tmp_path / "runs" / "gmm_scores.txt")
     assert len(trials.trials) == 12
+
+
+def test_gmm_prints_per_frame_log_likelihood(workspace, capsys):
+    tmp_path, config = workspace
+    assert main(["gmm", "--config", config]) == 0
+    printed = [float(line.rsplit(" ", 1)[1])
+               for line in capsys.readouterr().out.splitlines()
+               if "final avg ll" in line]
+    train, num_classes, _ = read_corpus(tmp_path / "data" / "train.bin")
+    _, histories, counts = fit_gmm_bank(train, num_classes,
+                                        load_config(config).gmm)
+    expected = [h[-1] / n for h, n in zip(histories, counts)]
+    assert len(printed) == num_classes
+    assert np.allclose(printed, expected, rtol=0, atol=1e-5)
 
 
 def test_gmm_rerun_is_byte_identical(workspace):

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -278,6 +281,23 @@ class TestCorpusFile:
             write_corpus(p, train + test, spec.num_classes, spec.feature_dim)
         assert pa.read_bytes() == pb.read_bytes()
 
+    def test_pinned_corpus_bytes(self, tmp_path):
+        # sha256 of both files: a change to the generator's draws, their
+        # order or the file format shows here
+        spec = SyntheticSpec(train_utterances=40, test_utterances=20, seed=3)
+        train, test = generate_corpus(spec)
+        expected = {
+            "train": "1cdf6a83ad2bcf2cbf477bd4a4145d74"
+                     "e8ac9455d8555424629d3b3d0cb50258",
+            "test": "bddbdb927a4fe76260a078cb20a94909"
+                    "66825aa980ce12a4277a73ac8acc084b",
+        }
+        for name, utts in (("train", train), ("test", test)):
+            path = tmp_path / f"{name}.bin"
+            write_corpus(path, utts, spec.num_classes, spec.feature_dim)
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert digest == expected[name], name
+
     def test_bucket_tag_survives_roundtrip(self, tmp_path):
         spec = small_spec(train_utterances=0, test_utterances=9)
         _, test = generate_corpus(spec)
@@ -286,6 +306,20 @@ class TestCorpusFile:
         back, _, _ = read_corpus(path)
         assert [u.bucket for u in back] == [u.bucket for u in test]
         assert all(u.bucket is not None for u in back)
+
+    def test_read_holds_no_second_copy(self, tmp_path):
+        spec = small_spec(train_utterances=40, test_utterances=0)
+        train, _ = generate_corpus(spec)
+        path = tmp_path / "c.bin"
+        write_corpus(path, train, spec.num_classes, spec.feature_dim)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            read_corpus(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * size
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -314,6 +348,20 @@ class TestCorpusFile:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(CorpusFormatError, match="truncated"):
+            read_corpus(path)
+
+    def test_oversized_lengths_are_truncation(self, tmp_path):
+        # a corrupt length field is reported before anything that large
+        # is read or allocated
+        import struct
+        head = b"LDEC" + struct.pack("<III", 1, 2, 2)
+        path = tmp_path / "big.bin"
+        path.write_bytes(head + struct.pack("<I", 2**31) + b"u0")
+        with pytest.raises(CorpusFormatError, match="truncated record"):
+            read_corpus(path)
+        path.write_bytes(head + struct.pack("<I", 2) + b"u0"
+                         + struct.pack("<III", 0, 2**31, 2))
+        with pytest.raises(CorpusFormatError, match="truncated frame data"):
             read_corpus(path)
 
     def test_duplicate_id_rejected(self, tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from ldekit.encoding import (
     AGG_MEAN,
     AGG_NORMALIZED,
+    DENOM_FLOOR,
     SMOOTHING_PER_COMPONENT,
     SMOOTHING_SHARED,
     Dictionary,
@@ -62,7 +63,7 @@ class TestLdeForward:
         d = Dictionary(centers, np.zeros((2, 1)))
         x = np.tile(centers[0][:, None], (1, 6))  # every frame equals mu_0
         enc, saved = lde_forward(x, d, cfg)
-        assert saved.weights[:, 0].min() > 1 - 1e-12
+        assert saved.weights[0, :, 0].min() > 1 - 1e-12
         assert np.max(np.abs(enc.e[0])) == 0.0
 
     def test_scalar_hand_evaluation(self):
@@ -79,7 +80,7 @@ class TestLdeForward:
             [0.37754066879814543536, 0.62245933120185456464],
         ])
         e_expected = np.array([0.21938516719953635884, -0.21938516719953635884])
-        assert np.max(np.abs(saved.weights - w_expected)) <= 1e-15
+        assert np.max(np.abs(saved.weights[0] - w_expected)) <= 1e-15
         assert np.max(np.abs(enc.flat - e_expected)) <= 1e-15
 
     def test_weight_rows_sum_to_one(self):
@@ -88,7 +89,7 @@ class TestLdeForward:
         d = make_dictionary(rng, cfg)
         x = rng.normal(size=(3, 40)) * 10
         _, saved = lde_forward(x, d, cfg)
-        assert np.max(np.abs(saved.weights.sum(axis=1) - 1.0)) <= 1e-12
+        assert np.max(np.abs(saved.weights.sum(axis=2) - 1.0)) <= 1e-12
         assert np.all(saved.weights >= 0)
 
     def test_output_dim_independent_of_length(self):
@@ -134,7 +135,7 @@ class TestLdeForward:
         d = Dictionary(np.array([[0.0], [100.0]]), np.zeros((2, 1)))
         x = np.zeros((1, 3))
         enc, _ = lde_forward(x, d, cfg)
-        assert enc.floored_components == [1]
+        assert enc.floored.tolist() == [False, True]
         assert np.isfinite(enc.flat).all()
 
     def test_empty_sequence_rejected(self):
@@ -227,6 +228,112 @@ class TestLdeBackward:
         assert np.max(np.abs(d.centers.grad - 2 * once)) <= 1e-12
 
 
+def direct_lde(x, centers, raw, cfg, grad_out):
+    """The encoder on one D x L sequence in direct form, with the explicit
+    L x C x D residual tensor: the output vector and the gradients of
+    sum(grad_out * output) w.r.t. the input, centers and raw smoothing."""
+    frames = x.T
+    res = frames[:, None, :] - centers[None, :, :]
+    sq = (res ** 2).sum(axis=2)
+    if cfg.smoothing_mode == SMOOTHING_SHARED:
+        s = np.full(centers.shape[0], cfg.beta)
+    else:
+        s = softplus(raw[:, 0])
+    logits = -sq * s
+    w = np.exp(logits - logits.max(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    if cfg.aggregation_mode == AGG_MEAN:
+        denom = np.full(centers.shape[0], float(frames.shape[0]))
+        live = np.ones(centers.shape[0], dtype=bool)
+    else:
+        mass = w.sum(axis=0)
+        live = mass >= DENOM_FLOOR
+        denom = np.maximum(mass, DENOM_FLOOR)
+    e = (w[:, :, None] * res).sum(axis=0) / denom[:, None]
+    pre = e.reshape(-1)
+    norm = np.sqrt(pre @ pre)
+    scaled = cfg.length_normalize and norm > DENOM_FLOOR
+    out = pre / norm if scaled else pre
+
+    g = grad_out.reshape(-1)
+    if scaled:
+        g = (g - (g @ out) * out) / norm
+    g = g.reshape(e.shape)
+    dw = np.einsum("cd,tcd->tc", g, res) / denom
+    if cfg.aggregation_mode == AGG_NORMALIZED:
+        dw -= np.where(live, (g * e).sum(axis=1) / denom, 0.0)
+    u = w * (dw - (dw * w).sum(axis=1, keepdims=True))
+    dres = ((w / denom)[:, :, None] * g[None, :, :]
+            - 2.0 * (u * s)[:, :, None] * res)
+    dsmooth = -(u * sq).sum(axis=0) / (1.0 + np.exp(-raw[:, 0]))
+    return out, dres.sum(axis=1).T, -dres.sum(axis=0), dsmooth[:, None]
+
+
+def mixed_batch(rng):
+    """Centers 40 apart and a 4-member batch: soft weights over all three
+    centers; frames near center 0 only (centers 1 and 2 get no mass);
+    every frame exactly on center 0 (zero residual, zero norm); spread."""
+    centers = np.array([[0.5, -1.0], [0.5, 39.0], [40.5, -1.0]])
+    x = np.empty((4, 2, 6))
+    steps = 0.05 * np.arange(3)
+    x[0] = np.array([[0.5, 0.5, 0.5, 20.5, 20.55, 20.6],
+                     np.concatenate([19.0 + steps, [-1.0, -1.0, -1.0]])])
+    x[1] = centers[0][:, None] + 0.5 * rng.normal(size=(2, 6))
+    x[2] = centers[0][:, None]
+    x[3] = 10.0 + 8.0 * rng.normal(size=(2, 6))
+    return centers, x
+
+
+class TestBatchedParity:
+    @pytest.mark.parametrize("smoothing,aggregation,lennorm", ALL_MODE_COMBOS)
+    def test_matches_direct_residual_form(self, smoothing, aggregation,
+                                          lennorm):
+        rng = np.random.default_rng(17)
+        cfg = LdeConfig(3, 2, smoothing_mode=smoothing, beta=1.0,
+                        aggregation_mode=aggregation, length_normalize=lennorm)
+        centers, x = mixed_batch(rng)
+        raw = inv_softplus(np.array([[1.0], [1.0005], [0.9995]]))
+        d = Dictionary(centers, raw)
+        probe = rng.normal(size=(4, 6))
+
+        enc, saved = lde_forward(x, d, cfg)
+        gx = lde_backward(saved, probe, d, cfg)
+        refs = [direct_lde(x[b], centers, raw, cfg, probe[b]) for b in range(4)]
+
+        def rel(a, b):
+            return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+        assert rel(enc.flat, np.stack([r[0] for r in refs])) <= 1e-12
+        assert rel(gx, np.stack([r[1] for r in refs])) <= 1e-12
+        assert rel(d.centers.grad, sum(r[2] for r in refs)) <= 1e-12
+        if smoothing == SMOOTHING_PER_COMPONENT:
+            assert rel(d.smoothing.grad, sum(r[3] for r in refs)) <= 1e-12
+        else:
+            assert np.all(d.smoothing.grad == 0)
+
+        assert enc.zero_norm.tolist() == [False, False, lennorm, False]
+        floored = [[False] * 3, [False, True, True], [False, True, True],
+                   [False] * 3]
+        assert enc.floored.tolist() == (floored if aggregation == AGG_NORMALIZED
+                                        else [[False] * 3] * 4)
+
+    def test_sequence_is_a_batch_of_one(self):
+        rng = np.random.default_rng(18)
+        cfg = LdeConfig(3, 2, aggregation_mode=AGG_NORMALIZED)
+        centers, x = mixed_batch(rng)
+        d = Dictionary(centers, np.zeros((3, 1)))
+        probe = rng.normal(size=(4, 3, 2))
+        batch, saved = lde_forward(x, d, cfg)
+        gx = lde_backward(saved, probe, d, cfg)
+        for b in range(4):
+            single, s_saved = lde_forward(x[b], d, cfg)
+            assert single.e.shape == (3, 2)
+            assert np.max(np.abs(single.e - batch.e[b])) <= 1e-15
+            assert single.floored.tolist() == batch.floored[b].tolist()
+            assert np.max(np.abs(lde_backward(s_saved, probe[b], d, cfg)
+                                 - gx[b])) <= 1e-15
+
+
 class TestTapForward:
     def test_constant_sequence(self):
         v = np.array([1.5, -2.0, 0.25])
@@ -290,7 +397,7 @@ class TestHardAssign:
         d = make_dictionary(rng, cfg)
         x = rng.normal(size=(3, 50))
         _, saved = lde_forward(x, d, cfg)
-        assert np.array_equal(np.argmax(saved.weights, axis=1),
+        assert np.array_equal(np.argmax(saved.weights[0], axis=1),
                               hard_assign(x, d))
 
     def test_kmeans_limit_monotone_in_beta(self):
@@ -305,5 +412,5 @@ class TestHardAssign:
             cfg = LdeConfig(3, 2, smoothing_mode=SMOOTHING_SHARED, beta=beta,
                             aggregation_mode=AGG_MEAN, length_normalize=False)
             _, saved = lde_forward(x, d, cfg)
-            deviations.append(np.max(np.abs(saved.weights - onehot)))
+            deviations.append(np.max(np.abs(saved.weights[0] - onehot)))
         assert deviations[0] > deviations[1] >= deviations[2]

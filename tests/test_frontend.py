@@ -65,6 +65,25 @@ class TestConv1d:
         assert np.all(dx == 0)
         assert np.all(conv.weight.grad == 0)
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_weight_gradient_matches_einsum_reference(self, stride):
+        rng = np.random.default_rng(4)
+        conv = Conv1d("c", 5, 7, 3, stride, Rng(4))
+        x = rng.normal(size=(6, 5, 41))
+        y, cache = conv.forward(x)
+        dy = rng.normal(size=y.shape)
+        conv.backward(cache, dy)
+        # im2col of the zero-padded input, contracted over batch and time
+        out_len = y.shape[2]
+        left = max((out_len - 1) * stride + 3 - 41, 0) // 2
+        xp = np.zeros((6, 5, (out_len - 1) * stride + 3))
+        xp[:, :, left:left + 41] = x
+        patches = np.stack([xp[:, :, k:k + stride * (out_len - 1) + 1:stride]
+                            for k in range(3)], axis=2).reshape(6, 15, out_len)
+        expected = np.einsum("bol,bml->om", dy, patches).reshape(7, 5, 3)
+        err = np.max(np.abs(conv.weight.grad - expected))
+        assert err <= 1e-12 * np.max(np.abs(expected))
+
 
 class TestResidualBlock:
     def test_zero_weights_is_identity(self):

@@ -245,6 +245,19 @@ class TestPooledScoring:
         x[:, 35:] = 4.0  # tail changes the pooled mean, so scores move
         assert not np.allclose(infer(model, x), infer(model, x[:, :35]))
 
+    @pytest.mark.parametrize("encoder", ["tap", "lde"])
+    def test_batch_logits_match_infer(self, encoder):
+        fe = ConvSpec(in_dim=5, stages=[StageSpec(6, 1, True)])
+        lde = LdeConfig(4, 6) if encoder == "lde" else None
+        model = Model(ModelConfig(in_dim=5, num_classes=3, encoder=encoder,
+                                  lde=lde, frontend=fe), Rng(3))
+        feats = Rng(4).normal((6, 5, 23))
+        logits, _ = model.forward_batch(feats)
+        for b in range(6):
+            single = infer(model, feats[b])
+            assert np.max(np.abs(logits[b] - single)) <= \
+                1e-12 * np.max(np.abs(single))
+
 
 class TestAveragePoolingEquivalence:
     def test_tap_equals_frozen_centerless_lde(self):
