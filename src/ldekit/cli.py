@@ -21,6 +21,7 @@ from .data import (
     DURATION_BUCKETS,
     CorpusFormatError,
     Utterance,
+    duration_bucket,
     generate_corpus,
     read_corpus,
     sdc,
@@ -93,9 +94,9 @@ def _print_bucket_metrics(trials: TrialSet) -> None:
     """Per-duration-bucket breakdown for corpora that tag test utterances."""
     groups: dict[str, list[TrialScore]] = {}
     for t in trials.trials:
-        head, sep, tail = t.id.partition("#")
-        if sep:
-            groups.setdefault(tail, []).append(t)
+        bucket = duration_bucket(t.id)
+        if bucket is not None:
+            groups.setdefault(bucket, []).append(t)
     if not groups:
         return
     known = [name for name, _ in DURATION_BUCKETS]

@@ -35,6 +35,13 @@ DURATION_BUCKETS = (("short", (100, 200)),
 BUCKET_SEP = "#"
 
 
+def duration_bucket(uid: str) -> str | None:
+    """Duration bucket tag an utterance or trial id carries after its last
+    BUCKET_SEP, if any."""
+    _, sep, tag = uid.rpartition(BUCKET_SEP)
+    return tag if sep else None
+
+
 class CorpusFormatError(ValueError):
     """Corpus file is malformed or disagrees with its header."""
 
@@ -83,13 +90,6 @@ class Utterance:
     @property
     def num_frames(self) -> int:
         return self.features.shape[1]
-
-    @property
-    def bucket(self) -> str | None:
-        """Duration bucket tag carried in the id, if any."""
-        if BUCKET_SEP in self.id:
-            return self.id.rsplit(BUCKET_SEP, 1)[1]
-        return None
 
 
 @dataclass

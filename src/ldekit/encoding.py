@@ -124,12 +124,10 @@ class Dictionary:
 
 @dataclass
 class EncodedVector:
-    """Fixed-size utterance representation: C x D matrix, flat view C*D.
-
-    A batched encode keeps the leading batch axis on `e` and on both
-    flags: `zero_norm` (the norm was too small to length-normalize) and
-    `floored` (C bools, True where the aggregation denominator was
-    clamped).
+    """Fixed-size utterance representations of a batch: B x C x D
+    matrices `e`, flat view B x C*D, with per-member flags `zero_norm`
+    (B bools, the norm was too small to length-normalize) and `floored`
+    (B x C bools, True where the aggregation denominator was clamped).
     """
 
     e: np.ndarray
@@ -138,13 +136,13 @@ class EncodedVector:
 
     @property
     def flat(self) -> np.ndarray:
-        return self.e.reshape(*self.e.shape[:-2], -1)
+        return self.e.reshape(self.e.shape[0], -1)
 
 
 @dataclass
 class LdeSaved:
-    """Everything the backward pass needs; only the norms of `pre_norm` are
-    recomputed. Always batched: a 2-D input is saved as a batch of one."""
+    """Everything the backward pass needs, including the config forward
+    ran with; only the norms of `pre_norm` are recomputed."""
 
     x: np.ndarray             # B x D x L input
     centers: np.ndarray       # C x D centers used in forward
@@ -155,26 +153,25 @@ class LdeSaved:
     floored: np.ndarray       # B x C bools, True where denom was clamped
     pre_norm: np.ndarray      # B x C*D vectors before length normalization
     zero_norm: np.ndarray     # B bools, True where normalization was skipped
-    single: bool              # input was one D x L sequence
     cfg: LdeConfig
 
 
-def _as_batch(x: np.ndarray, feature_dim: int) -> tuple[np.ndarray, bool]:
-    """(B, D, L) view of a D x L sequence or a batch of them."""
+def _check_batch(x: np.ndarray, feature_dim: int | None = None) -> np.ndarray:
+    """x as a float64 (B, D, L) batch of non-empty sequences, with D equal
+    to feature_dim when one is given."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (2, 3) or x.shape[-2] != feature_dim:
+    if x.ndim != 3 or feature_dim not in (None, x.shape[1]):
         raise DimensionError(
-            f"expected a {feature_dim} x L feature sequence or a batch of "
-            f"them, got shape {x.shape}")
-    if x.shape[-1] < 1:
+            f"expected a (B, {feature_dim or 'D'}, L) batch of feature "
+            f"sequences, got shape {x.shape}")
+    if x.shape[2] < 1:
         raise EmptySequenceError("feature sequence has no frames")
-    return (x[None], True) if x.ndim == 2 else (x, False)
+    return x
 
 
 def lde_forward(x: np.ndarray, dictionary: Dictionary,
                 cfg: LdeConfig) -> tuple[EncodedVector, LdeSaved]:
-    """Encode a D x L sequence into a C x D utterance vector, or a
-    (B, D, L) batch into (B, C, D).
+    """Encode a (B, D, L) batch into (B, C, D) utterance vectors.
 
     Weights: w[t, c] = softmax over c of -s_c * ||x_t - mu_c||^2, with s_c
     either the shared constant or softplus of the learnable raw smoothing.
@@ -188,7 +185,7 @@ def lde_forward(x: np.ndarray, dictionary: Dictionary,
     if (dictionary.num_components != cfg.num_components
             or dictionary.feature_dim != cfg.feature_dim):
         raise DimensionError("dictionary shape does not match config")
-    x, single = _as_batch(x, cfg.feature_dim)
+    x = _check_batch(x, cfg.feature_dim)
     batch, _, num_frames = x.shape
     frames = x.transpose(0, 2, 1)  # B x L x D view
     centers = dictionary.centers.value.copy()  # updates are in place
@@ -219,25 +216,20 @@ def lde_forward(x: np.ndarray, dictionary: Dictionary,
 
     saved = LdeSaved(x=x, centers=centers, sq_dists=sq, weights=weights,
                      s_eff=s_eff, denom=denom, floored=floored,
-                     pre_norm=pre_norm, zero_norm=zero_norm,
-                     single=single, cfg=cfg)
-    if single:
-        return EncodedVector(e[0], bool(zero_norm[0]), floored[0]), saved
+                     pre_norm=pre_norm, zero_norm=zero_norm, cfg=cfg)
     return EncodedVector(e, zero_norm, floored), saved
 
 
 def lde_backward(saved: LdeSaved, grad_out: np.ndarray,
-                 dictionary: Dictionary, cfg: LdeConfig) -> np.ndarray:
-    """Backprop through the encoder.
+                 dictionary: Dictionary) -> np.ndarray:
+    """Backprop through the encoder, in the config forward saved.
 
-    `grad_out` is the loss gradient w.r.t. the layer output (C x D or flat
-    C*D, with a leading batch axis for a batched forward). Returns the
-    gradient w.r.t. the input, shaped like it, and accumulates the center
-    and smoothing gradients (summed over the batch) into the dictionary
-    Params.
+    `grad_out` is the loss gradient w.r.t. the layer output, (B, C, D) or
+    flat (B, C*D). Returns the gradient w.r.t. the (B, D, L) input and
+    accumulates the center and smoothing gradients (summed over the
+    batch) into the dictionary Params.
     """
-    if cfg is not saved.cfg and cfg != saved.cfg:
-        raise DimensionError("config does not match the one used in forward")
+    cfg = saved.cfg
     batch, _, num_comp = saved.weights.shape
     x, centers, weights = saved.x, saved.centers, saved.weights
     frames = x.transpose(0, 2, 1)
@@ -288,34 +280,30 @@ def lde_backward(saved: LdeSaved, grad_out: np.ndarray,
         raw = dictionary.smoothing.value[:, 0]
         sig = 1.0 / (1.0 + np.exp(-raw))
         dictionary.smoothing.grad[:, 0] += ds_eff * sig
-    return grad_x[0] if saved.single else grad_x
+    return grad_x
 
 
 def tap_forward(x: np.ndarray) -> np.ndarray:
-    """Temporal average: a D x L sequence to a length-D vector, or a
-    (B, D, L) batch to (B, D)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (2, 3):
-        raise DimensionError(f"expected a D x L sequence or a batch of them, "
-                             f"got shape {x.shape}")
-    if x.shape[-1] < 1:
-        raise EmptySequenceError("feature sequence has no frames")
-    return x.mean(axis=-1)
+    """Temporal average: a (B, D, L) batch to (B, D)."""
+    return _check_batch(x).mean(axis=2)
 
 
-def length_normalize(v: np.ndarray) -> tuple[np.ndarray, np.ndarray | bool]:
-    """Scale a vector, or each row of a matrix, to unit Euclidean norm;
-    zero-norm rows pass through unscaled and flagged."""
+def length_normalize(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scale each row of a B x N matrix to unit Euclidean norm; zero-norm
+    rows pass through unscaled and are flagged (B bools)."""
     v = np.asarray(v, dtype=np.float64)
-    norm = np.sqrt(np.einsum("...i,...i->...", v, v))
+    if v.ndim != 2:
+        raise DimensionError(f"expected a B x N matrix of rows, got {v.shape}")
+    norm = np.sqrt(np.einsum("bi,bi->b", v, v))
     flag = norm <= DENOM_FLOOR
-    out = v / np.where(flag, 1.0, norm)[..., None]
-    return out, (bool(flag) if flag.ndim == 0 else flag)
+    return v / np.where(flag, 1.0, norm)[:, None], flag
 
 
 def hard_assign(x: np.ndarray, dictionary: Dictionary) -> np.ndarray:
-    """Per-frame index of the nearest center; ties go to the lowest index."""
-    x, single = _as_batch(x, dictionary.feature_dim)
-    if not single:
-        raise DimensionError(f"expected one D x L sequence, got {x.shape}")
-    return np.argmin(sq_dists(x[0].T, dictionary.centers.value), axis=1)
+    """Per-frame index of the nearest center for one D x L sequence; ties
+    go to the lowest index."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] != dictionary.feature_dim:
+        raise DimensionError(f"expected one {dictionary.feature_dim} x L "
+                             f"sequence, got shape {x.shape}")
+    return np.argmin(sq_dists(x.T, dictionary.centers.value), axis=1)

@@ -9,10 +9,10 @@ zero-padded channels), so a block with all-zero weights is exactly the
 (possibly downsampled) identity. Forward and backward are written by
 hand; there is no autodiff anywhere in this package.
 
-Everything is batched as (B, channels, length); the public
-single-utterance API adds and strips the batch axis. Each convolution's
-forward pass, weight gradient and input gradient are BLAS matrix
-products over the whole batch against an im2col patch matrix.
+Every layer takes and returns (B, channels, length) batches; one
+utterance is a batch of one. Each convolution's forward pass, weight
+gradient and input gradient are BLAS matrix products over the whole
+batch against an im2col patch matrix.
 """
 
 from __future__ import annotations
@@ -238,12 +238,6 @@ class ResidualBlock:
         return dx
 
 
-@dataclass
-class FrontendSaved:
-    caches: list
-    was_2d: bool
-
-
 class Frontend:
     """Stem convolution followed by the configured residual stages."""
 
@@ -268,6 +262,7 @@ class Frontend:
         return out
 
     def forward_batch(self, x: np.ndarray):
+        """(B, D_in, L_in) to (B, D_out, L_out), plus the per-layer caches."""
         if x.ndim != 3 or x.shape[1] != self.spec.in_dim:
             raise DimensionError(
                 f"expected (B, {self.spec.in_dim}, L) input, got {x.shape}")
@@ -282,33 +277,14 @@ class Frontend:
         for block in self.blocks:
             h, cache = block.forward(h)
             caches.append(cache)
-        return h, FrontendSaved(caches=caches, was_2d=False)
+        return h, caches
 
-    def backward_batch(self, saved: FrontendSaved, dy: np.ndarray,
+    def backward_batch(self, caches: list, dy: np.ndarray,
                        input_grad: bool = True):
-        """Accumulates the parameter gradients; returns the gradient w.r.t.
-        the input features, or None when `input_grad` is false."""
-        caches = saved.caches
+        """Accumulates the parameter gradients from the caches that
+        forward_batch returned; returns the gradient w.r.t. the input
+        features, or None when `input_grad` is false."""
         for block, cache in zip(reversed(self.blocks), reversed(caches[1:])):
             dy = block.backward(cache, dy)
         return self.stem.backward(caches[0], dy, input_grad)
 
-
-def frontend_forward(x: np.ndarray, state: Frontend):
-    """Single utterance: D_in x L_in to D_out x L_out, plus saved tensors."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise DimensionError(f"expected a 2-D input, got shape {x.shape}")
-    y, saved = state.forward_batch(x[None])
-    saved.was_2d = True
-    return y[0], saved
-
-
-def frontend_backward(state: Frontend, saved: FrontendSaved,
-                      grad_out: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. the single-utterance input; accumulates param grads."""
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if not saved.was_2d:
-        raise DimensionError("saved state came from a batched forward")
-    dx = state.backward_batch(saved, grad_out[None])
-    return dx[0]

@@ -1,16 +1,18 @@
 """Diagonal-covariance Gaussian mixtures: EM training, per-utterance
-occupancy statistics, and centered-mean supervector encoding.
+occupancy statistics, and the per-class mixture classifier.
 
-This is the classical baseline the learnable encoder imitates: a
-background mixture is fit on pooled frames, each utterance is summarized
-by posterior-weighted zeroth/first-order statistics against it, and the
-per-component centered means are concatenated into one long vector.
+This is the classical baseline the learnable encoder imitates. A mixture
+summarizes an utterance by posterior-weighted zeroth/first-order
+statistics n_c and f_c; with equal weights and one shared variance
+sigma^2, the centered means f_c / n_c are what the dictionary encoder
+returns with shared smoothing 1 / (2 sigma^2) and normalized
+aggregation, so that encoder stands in for the GMM supervector.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +26,6 @@ from .ndcore import (
 
 log = logging.getLogger(__name__)
 
-UNSEEN_FLOOR = 1e-30
 EMPTY_COMPONENT_FLOOR = 1e-6
 # variance floor as a fraction of the global per-dimension variance
 VAR_FLOOR_FRACTION = 1e-3
@@ -68,15 +69,6 @@ class BaumWelchStats:
     f: np.ndarray
 
 
-@dataclass
-class Supervector:
-    """Concatenated per-component centered means, plus a unit-norm copy."""
-
-    v: np.ndarray
-    normalized: np.ndarray
-    unseen: list = field(default_factory=list)
-
-
 def _check_sequence(model: GmmModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != model.dim:
@@ -117,23 +109,6 @@ def accumulate_stats(model: GmmModel, x: np.ndarray) -> BaumWelchStats:
     n = post.sum(axis=0)
     f = post.T @ x.T - n[:, None] * model.means
     return BaumWelchStats(n=n, f=f)
-
-
-def supervector(stats: BaumWelchStats) -> Supervector:
-    """Per-component centered means f_c / n_c concatenated in order.
-
-    Components whose count underflows are flagged unseen and contribute
-    zeros.
-    """
-    n = np.asarray(stats.n, dtype=np.float64)
-    f = np.asarray(stats.f, dtype=np.float64)
-    unseen = np.flatnonzero(n < UNSEEN_FLOOR)
-    centered = f / np.maximum(n, UNSEEN_FLOOR)[:, None]
-    centered[unseen] = 0.0
-    v = centered.reshape(-1)
-    norm = np.linalg.norm(v)
-    normalized = v / norm if norm > UNSEEN_FLOOR else v.copy()
-    return Supervector(v=v, normalized=normalized, unseen=list(unseen))
 
 
 def total_log_likelihood(model: GmmModel, frames: np.ndarray) -> float:

@@ -38,16 +38,21 @@ class CheckpointError(ValueError):
     """Checkpoint file is malformed or inconsistent."""
 
 
-def cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Multiclass cross-entropy of one logit vector; returns the loss and
-    its gradient w.r.t. the logits (softmax minus one-hot)."""
-    logits = np.asarray(logits, dtype=np.float64).reshape(-1)
-    if not 0 <= label < logits.size:
-        raise IndexError(f"label {label} out of range for {logits.size} classes")
-    z = float(log_sum_exp_rows(logits[None, :])[0])
-    grad = np.exp(logits - z)
-    grad[label] -= 1.0
-    return z - float(logits[label]), grad
+def cross_entropy(logits: np.ndarray,
+                  labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Multiclass cross-entropy of each row of a (B, K) logit batch against
+    its label; returns the B losses and their gradients w.r.t. the logits
+    (softmax minus one-hot, B x K)."""
+    logits = np.asarray(logits, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    num, k = logits.shape
+    if labels.shape != (num,) or np.any((labels < 0) | (labels >= k)):
+        raise IndexError(f"need {num} labels in [0, {k}), got {labels}")
+    z = log_sum_exp_rows(logits)
+    grad = np.exp(logits - z[:, None])
+    rows = np.arange(num)
+    grad[rows, labels] -= 1.0
+    return z - logits[rows, labels], grad
 
 
 class LinearClassifier:
@@ -206,7 +211,7 @@ def model_config_from_dict(d: dict) -> ModelConfig:
 
 @dataclass
 class BatchCache:
-    frontend_saved: object
+    frontend_caches: list | None
     encoder_saved: object  # LdeSaved, or the pooled length for TAP
     embeds: np.ndarray
 
@@ -250,21 +255,17 @@ class Model:
     def forward_batch(self, feats: np.ndarray) -> tuple[np.ndarray, BatchCache]:
         """feats (B, D, L) -> logits (B, K) plus the backward cache."""
         feats = np.asarray(feats, dtype=np.float64)
-        if feats.ndim != 2 and feats.ndim != 3:
-            raise DimensionError(f"expected (B, D, L) batch, got {feats.shape}")
-        if feats.ndim == 2:
-            feats = feats[None]
         if self.frontend is not None:
-            hidden, fe_saved = self.frontend.forward_batch(feats)
+            hidden, fe_caches = self.frontend.forward_batch(feats)
         else:
-            hidden, fe_saved = feats, None
+            hidden, fe_caches = feats, None
         if self.cfg.encoder == ENCODER_LDE:
             enc, enc_saved = lde_forward(hidden, self.dictionary, self.cfg.lde)
             embeds = enc.flat
         else:
             embeds, enc_saved = tap_forward(hidden), hidden.shape[2]
         logits = self.classifier.forward_batch(embeds)
-        return logits, BatchCache(fe_saved, enc_saved, embeds)
+        return logits, BatchCache(fe_caches, enc_saved, embeds)
 
     def backward_batch(self, cache: BatchCache, dlogits: np.ndarray) -> None:
         """Accumulates parameter gradients for a batch scored by
@@ -272,13 +273,13 @@ class Model:
         dembeds = self.classifier.backward_batch(cache.embeds, dlogits)
         if self.cfg.encoder == ENCODER_LDE:
             dhidden = lde_backward(cache.encoder_saved, dembeds,
-                                   self.dictionary, self.cfg.lde)
+                                   self.dictionary)
         else:
             length = cache.encoder_saved
             dhidden = np.broadcast_to((dembeds / length)[:, :, None],
                                       dembeds.shape + (length,))
         if self.frontend is not None:
-            self.frontend.backward_batch(cache.frontend_saved, dhidden,
+            self.frontend.backward_batch(cache.frontend_caches, dhidden,
                                          input_grad=False)
 
     def zero_grads(self) -> None:
@@ -296,16 +297,13 @@ def batch_loss(model: Model, feats: np.ndarray, labels: np.ndarray,
                accumulate: bool = True) -> float:
     """Mean cross-entropy over one batch; optionally backprops it."""
     logits, cache = model.forward_batch(feats)
+    losses, dlogits = cross_entropy(logits, labels)
     num = logits.shape[0]
-    total = 0.0
-    dlogits = np.empty_like(logits)
-    for b in range(num):
-        loss_b, grad_b = cross_entropy(logits[b], int(labels[b]))
-        total += loss_b
-        dlogits[b] = grad_b / num
     if accumulate:
-        model.backward_batch(cache, dlogits)
-    return total / num
+        model.backward_batch(cache, dlogits / num)
+    # strictly left to right, as a running float sum would add them: a
+    # pairwise or compensated sum can move the last digit of the loss log
+    return float(np.add.accumulate(losses)[-1]) / num
 
 
 @dataclass

@@ -33,13 +33,7 @@ from ldekit.encoding import (
     lde_forward,
     tap_forward,
 )
-from ldekit.frontend import (
-    ConvSpec,
-    Frontend,
-    StageSpec,
-    frontend_backward,
-    frontend_forward,
-)
+from ldekit.frontend import ConvSpec, Frontend, StageSpec
 from ldekit.gmm import accumulate_stats, em_fit
 from ldekit.metrics import (
     TrialScore,
@@ -99,13 +93,13 @@ def lde_layer_errors(agg, smoothing, lennorm, seed):
     probe = data_rng.normal((3, 4))
 
     def scalar():
-        enc, _ = lde_forward(x, dictionary, cfg)
-        return float(np.sum(probe * enc.e))
+        enc, _ = lde_forward(x[None], dictionary, cfg)
+        return float(np.sum(probe * enc.e[0]))
 
-    _, saved = lde_forward(x, dictionary, cfg)
+    _, saved = lde_forward(x[None], dictionary, cfg)
     for p in dictionary.params():
         p.zero_grad()
-    dx = lde_backward(saved, probe, dictionary, cfg)
+    dx = lde_backward(saved, probe[None], dictionary)[0]
 
     errs = [rel_err(dx, central_diff(scalar, x)),
             rel_err(dictionary.centers.grad,
@@ -121,17 +115,17 @@ def frontend_errors():
                     activation="tanh")
     net = Frontend(spec, Rng(21))
     x = Rng(22).normal((3, 9))
-    y, _ = frontend_forward(x, net)
-    probe = Rng(23).normal(y.shape)
+    y, _ = net.forward_batch(x[None])
+    probe = Rng(23).normal(y[0].shape)
 
     def scalar():
-        out, _ = frontend_forward(x, net)
-        return float(np.sum(probe * out))
+        out, _ = net.forward_batch(x[None])
+        return float(np.sum(probe * out[0]))
 
-    _, saved = frontend_forward(x, net)
+    _, caches = net.forward_batch(x[None])
     for p in net.params():
         p.zero_grad()
-    dx = frontend_backward(net, saved, probe)
+    dx = net.backward_batch(caches, probe[None])[0]
 
     errs = [rel_err(dx, central_diff(scalar, x))]
     errs += [rel_err(p.grad, central_diff(scalar, p.value))
@@ -210,9 +204,9 @@ def test_reduction_suite(report):
         x = rng.normal((dim, length), std=2.0)
         cfg = LdeConfig(num_components=1, feature_dim=dim,
                         aggregation_mode=AGG_MEAN, length_normalize=False)
-        enc, _ = lde_forward(x, Dictionary.zeros(cfg), cfg)
+        enc, _ = lde_forward(x[None], Dictionary.zeros(cfg), cfg)
         worst_tap = max(worst_tap,
-                        float(np.max(np.abs(enc.flat - tap_forward(x)))))
+                        float(np.max(np.abs(enc.flat - tap_forward(x[None])))))
 
     monotone = True
     final_gap = 0.0
@@ -231,7 +225,7 @@ def test_reduction_suite(report):
                      128.0, 256.0):
             cfg = LdeConfig(num_components=4, feature_dim=3,
                             smoothing_mode=SMOOTHING_SHARED, beta=beta)
-            _, saved = lde_forward(x, dictionary, cfg)
+            _, saved = lde_forward(x[None], dictionary, cfg)
             gap = float(np.max(np.abs(saved.weights - onehot)))
             if prev is not None and gap > prev + 1e-12:
                 monotone = False
@@ -258,8 +252,8 @@ def test_orderless_suite(report):
             dictionary = Dictionary.init(cfg, Rng(71))
             x = rng.normal((5, 30))
             perm = rng.permutation(30)
-            a, _ = lde_forward(x, dictionary, cfg)
-            b, _ = lde_forward(x[:, perm], dictionary, cfg)
+            a, _ = lde_forward(x[None], dictionary, cfg)
+            b, _ = lde_forward(x[None, :, perm], dictionary, cfg)
             worst_perm = max(worst_perm,
                              float(np.max(np.abs(a.flat - b.flat))))
 

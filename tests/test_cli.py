@@ -3,10 +3,10 @@ import configparser
 import numpy as np
 import pytest
 
-from ldekit.cli import fit_gmm_bank, main
+from ldekit.cli import _print_bucket_metrics, fit_gmm_bank, main
 from ldekit.config import load_config
-from ldekit.data import read_corpus
-from ldekit.metrics import read_scores
+from ldekit.data import duration_bucket, read_corpus
+from ldekit.metrics import TrialScore, TrialSet, read_scores
 from ldekit.ndcore import Rng
 from ldekit.train import Model, load_gmm_bank, load_model
 
@@ -102,7 +102,7 @@ def test_gen_data_writes_corpora(workspace):
     test, k2, d2 = read_corpus(tmp_path / "data" / "test.bin")
     assert (k, d) == (3, 6) and (k2, d2) == (3, 6)
     assert len(train) == 24 and len(test) == 12
-    assert all(u.bucket for u in test)
+    assert all(duration_bucket(u.id) for u in test)
 
 
 def test_gen_data_refuses_overwrite(workspace, capsys):
@@ -230,6 +230,16 @@ def test_eval_writes_scores_and_buckets(workspace, capsys):
     utts, _, _ = read_corpus(corpus)
     assert [t.id for t in trials.trials] == [u.id for u in utts]
     assert [int(t.label) for t in trials.trials] == [u.label for u in utts]
+
+
+def test_bucket_breakdown_reads_the_tag_after_the_last_separator(capsys):
+    trials = TrialSet(["L0", "L1"], [
+        TrialScore(f"u{i}#x#short", i % 2, [float(i % 2), 0.5])
+        for i in range(4)])
+    _print_bucket_metrics(trials)
+    out = capsys.readouterr().out
+    assert out.startswith("[short] trials=4 ")
+
 
 
 def test_eval_rerun_is_byte_identical(workspace):

@@ -12,6 +12,7 @@ from ldekit.data import (
     SyntheticSpec,
     Utterance,
     crop_or_extend,
+    duration_bucket,
     generate_corpus,
     make_batches,
     read_corpus,
@@ -57,7 +58,7 @@ class TestGenerateCorpus:
         train, _ = generate_corpus(spec)
         for u in train:
             assert spec.min_len <= u.num_frames <= spec.max_len
-            assert u.bucket is None
+            assert duration_bucket(u.id) is None
 
     def test_test_buckets(self):
         spec = SyntheticSpec(num_classes=2, feature_dim=4,
@@ -66,13 +67,19 @@ class TestGenerateCorpus:
         ranges = dict(DURATION_BUCKETS)
         seen = set()
         for u in test:
-            tag = u.bucket
+            tag = duration_bucket(u.id)
             assert tag in ranges
             lo, hi = ranges[tag]
             assert lo <= u.num_frames <= hi
             assert u.id.endswith(BUCKET_SEP + tag)
             seen.add(tag)
         assert seen == set(ranges)  # 60 draws hit all three buckets
+
+    def test_bucket_is_the_tag_after_the_last_separator(self):
+        sep = BUCKET_SEP
+        assert duration_bucket(f"te00001{sep}x{sep}short") == "short"
+        assert duration_bucket(f"te00001{sep}") == ""
+        assert duration_bucket("te00001") is None
 
     def test_deterministic(self):
         spec = small_spec()
@@ -304,8 +311,9 @@ class TestCorpusFile:
         path = tmp_path / "test.bin"
         write_corpus(path, test, spec.num_classes, spec.feature_dim)
         back, _, _ = read_corpus(path)
-        assert [u.bucket for u in back] == [u.bucket for u in test]
-        assert all(u.bucket is not None for u in back)
+        tags = [duration_bucket(u.id) for u in back]
+        assert tags == [duration_bucket(u.id) for u in test]
+        assert None not in tags
 
     def test_read_holds_no_second_copy(self, tmp_path):
         spec = small_spec(train_utterances=40, test_utterances=0)

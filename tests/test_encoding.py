@@ -53,8 +53,8 @@ class TestLdeForward:
         cfg = LdeConfig(1, 2, aggregation_mode=AGG_MEAN, length_normalize=False)
         d = Dictionary.zeros(cfg)
         x = np.array([[1.0, 3.0], [2.0, 4.0]])
-        enc, _ = lde_forward(x, d, cfg)
-        assert np.max(np.abs(enc.flat - np.array([2.0, 3.0]))) <= 1e-15
+        enc, _ = lde_forward(x[None], d, cfg)
+        assert np.max(np.abs(enc.flat[0] - np.array([2.0, 3.0]))) <= 1e-15
 
     def test_zero_residual_dominant_center(self):
         cfg = LdeConfig(2, 3, smoothing_mode=SMOOTHING_SHARED, beta=1.0,
@@ -62,9 +62,9 @@ class TestLdeForward:
         centers = np.array([[1.0, -2.0, 0.5], [50.0, 50.0, 50.0]])
         d = Dictionary(centers, np.zeros((2, 1)))
         x = np.tile(centers[0][:, None], (1, 6))  # every frame equals mu_0
-        enc, saved = lde_forward(x, d, cfg)
+        enc, saved = lde_forward(x[None], d, cfg)
         assert saved.weights[0, :, 0].min() > 1 - 1e-12
-        assert np.max(np.abs(enc.e[0])) == 0.0
+        assert np.max(np.abs(enc.e[0, 0])) == 0.0
 
     def test_scalar_hand_evaluation(self):
         # C=2, D=1, mu=[0,1], shared beta=1, mean mode, x=[0.25, 0.75];
@@ -74,21 +74,21 @@ class TestLdeForward:
                         aggregation_mode=AGG_MEAN, length_normalize=False)
         d = Dictionary(np.array([[0.0], [1.0]]), np.zeros((2, 1)))
         x = np.array([[0.25, 0.75]])
-        enc, saved = lde_forward(x, d, cfg)
+        enc, saved = lde_forward(x[None], d, cfg)
         w_expected = np.array([
             [0.62245933120185456464, 0.37754066879814543536],
             [0.37754066879814543536, 0.62245933120185456464],
         ])
         e_expected = np.array([0.21938516719953635884, -0.21938516719953635884])
         assert np.max(np.abs(saved.weights[0] - w_expected)) <= 1e-15
-        assert np.max(np.abs(enc.flat - e_expected)) <= 1e-15
+        assert np.max(np.abs(enc.flat[0] - e_expected)) <= 1e-15
 
     def test_weight_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         cfg = LdeConfig(5, 3, aggregation_mode=AGG_MEAN)
         d = make_dictionary(rng, cfg)
         x = rng.normal(size=(3, 40)) * 10
-        _, saved = lde_forward(x, d, cfg)
+        _, saved = lde_forward(x[None], d, cfg)
         assert np.max(np.abs(saved.weights.sum(axis=2) - 1.0)) <= 1e-12
         assert np.all(saved.weights >= 0)
 
@@ -98,8 +98,8 @@ class TestLdeForward:
         d = make_dictionary(rng, cfg)
         dims = set()
         for length in (1, 2, 17, 400):
-            enc, _ = lde_forward(rng.normal(size=(3, length)), d, cfg)
-            dims.add(enc.flat.shape[0])
+            enc, _ = lde_forward(rng.normal(size=(1, 3, length)), d, cfg)
+            dims.add(enc.flat.shape[1])
         assert dims == {12}
 
     def test_permutation_invariance(self):
@@ -111,8 +111,8 @@ class TestLdeForward:
             d = make_dictionary(rng, cfg)
             x = rng.normal(size=(4, 25))
             perm = rng.permutation(25)
-            a, _ = lde_forward(x, d, cfg)
-            b, _ = lde_forward(x[:, perm], d, cfg)
+            a, _ = lde_forward(x[None], d, cfg)
+            b, _ = lde_forward(x[None, :, perm], d, cfg)
             assert np.max(np.abs(a.flat - b.flat)) <= 1e-12
 
     def test_translation_covariance_mean_mode(self):
@@ -121,10 +121,10 @@ class TestLdeForward:
         d = make_dictionary(rng, cfg)
         x = rng.normal(size=(5, 30))
         shift = rng.normal(size=(5,))
-        a, sa = lde_forward(x, d, cfg)
+        a, sa = lde_forward(x[None], d, cfg)
         d_shifted = Dictionary(d.centers.value + shift[None, :],
                                d.smoothing.value.copy())
-        b, sb = lde_forward(x + shift[:, None], d_shifted, cfg)
+        b, sb = lde_forward((x + shift[:, None])[None], d_shifted, cfg)
         assert np.max(np.abs(sa.weights - sb.weights)) <= 1e-10
         assert np.max(np.abs(a.flat - b.flat)) <= 1e-10
 
@@ -133,29 +133,29 @@ class TestLdeForward:
         cfg = LdeConfig(2, 1, smoothing_mode=SMOOTHING_SHARED, beta=2.0,
                         aggregation_mode=AGG_NORMALIZED, length_normalize=False)
         d = Dictionary(np.array([[0.0], [100.0]]), np.zeros((2, 1)))
-        x = np.zeros((1, 3))
+        x = np.zeros((1, 1, 3))
         enc, _ = lde_forward(x, d, cfg)
-        assert enc.floored.tolist() == [False, True]
+        assert enc.floored.tolist() == [[False, True]]
         assert np.isfinite(enc.flat).all()
 
     def test_empty_sequence_rejected(self):
         cfg = LdeConfig(2, 3)
         d = Dictionary.zeros(cfg)
         with pytest.raises(EmptySequenceError):
-            lde_forward(np.zeros((3, 0)), d, cfg)
+            lde_forward(np.zeros((1, 3, 0)), d, cfg)
 
     def test_dictionary_config_mismatch_rejected(self):
         cfg = LdeConfig(2, 3)
         d = Dictionary.zeros(LdeConfig(4, 3))
         with pytest.raises(DimensionError):
-            lde_forward(np.zeros((3, 5)), d, cfg)
+            lde_forward(np.zeros((1, 3, 5)), d, cfg)
 
     def test_length_normalized_output_has_unit_norm(self):
         rng = np.random.default_rng(4)
         cfg = LdeConfig(3, 2, length_normalize=True)
         d = make_dictionary(rng, cfg)
-        enc, _ = lde_forward(rng.normal(size=(2, 12)), d, cfg)
-        assert abs(np.linalg.norm(enc.flat) - 1.0) <= 1e-12
+        enc, _ = lde_forward(rng.normal(size=(1, 2, 12)), d, cfg)
+        assert abs(np.linalg.norm(enc.flat[0]) - 1.0) <= 1e-12
 
 
 class TestLdeBackward:
@@ -163,9 +163,9 @@ class TestLdeBackward:
         rng = np.random.default_rng(5)
         cfg = LdeConfig(3, 2)
         d = make_dictionary(rng, cfg)
-        x = rng.normal(size=(2, 7))
+        x = rng.normal(size=(1, 2, 7))
         _, saved = lde_forward(x, d, cfg)
-        gx = lde_backward(saved, np.zeros((3, 2)), d, cfg)
+        gx = lde_backward(saved, np.zeros((1, 3, 2)), d)
         assert np.all(gx == 0)
         assert np.all(d.centers.grad == 0)
         assert np.all(d.smoothing.grad == 0)
@@ -173,18 +173,18 @@ class TestLdeBackward:
     def test_tap_gradient_replicates_upstream_over_frames(self):
         cfg = LdeConfig(1, 2, aggregation_mode=AGG_MEAN, length_normalize=False)
         d = Dictionary.zeros(cfg)
-        x = np.random.default_rng(6).normal(size=(2, 5))
+        x = np.random.default_rng(6).normal(size=(1, 2, 5))
         _, saved = lde_forward(x, d, cfg)
         g = np.array([[0.3, -1.2]])
-        gx = lde_backward(saved, g, d, cfg)
-        assert np.max(np.abs(gx - g.reshape(2, 1) / 5.0)) <= 1e-15
+        gx = lde_backward(saved, g[None], d)
+        assert np.max(np.abs(gx[0] - g.reshape(2, 1) / 5.0)) <= 1e-15
 
     def test_grad_shape_mismatch_rejected(self):
         cfg = LdeConfig(2, 2)
         d = Dictionary.zeros(cfg)
-        _, saved = lde_forward(np.ones((2, 3)), d, cfg)
+        _, saved = lde_forward(np.ones((1, 2, 3)), d, cfg)
         with pytest.raises(Exception):
-            lde_backward(saved, np.zeros((3, 3)), d, cfg)
+            lde_backward(saved, np.zeros((1, 3, 3)), d)
 
     @pytest.mark.parametrize("smoothing,aggregation,lennorm", ALL_MODE_COMBOS)
     def test_matches_central_differences(self, smoothing, aggregation, lennorm):
@@ -198,15 +198,15 @@ class TestLdeBackward:
         probe = rng.normal(size=6)
 
         def phi():
-            enc, _ = lde_forward(x, d, cfg)
-            return float(np.dot(probe, enc.flat))
+            enc, _ = lde_forward(x[None], d, cfg)
+            return float(np.dot(probe, enc.flat[0]))
 
-        _, saved = lde_forward(x, d, cfg)
+        _, saved = lde_forward(x[None], d, cfg)
         d.centers.zero_grad()
         d.smoothing.zero_grad()
-        gx = lde_backward(saved, probe.reshape(3, 2), d, cfg)
+        gx = lde_backward(saved, probe.reshape(1, 3, 2), d)
 
-        assert_grad_close(gx, central_diff(phi, x), 1e-5, "input")
+        assert_grad_close(gx[0], central_diff(phi, x), 1e-5, "input")
         assert_grad_close(d.centers.grad, central_diff(phi, d.centers.value),
                           1e-5, "centers")
         if smoothing == SMOOTHING_PER_COMPONENT:
@@ -218,13 +218,13 @@ class TestLdeBackward:
         rng = np.random.default_rng(8)
         cfg = LdeConfig(2, 2)
         d = make_dictionary(rng, cfg)
-        x = rng.normal(size=(2, 4))
-        g = rng.normal(size=(2, 2))
+        x = rng.normal(size=(1, 2, 4))
+        g = rng.normal(size=(1, 2, 2))
         _, saved = lde_forward(x, d, cfg)
-        lde_backward(saved, g, d, cfg)
+        lde_backward(saved, g, d)
         once = d.centers.grad.copy()
         _, saved = lde_forward(x, d, cfg)
-        lde_backward(saved, g, d, cfg)
+        lde_backward(saved, g, d)
         assert np.max(np.abs(d.centers.grad - 2 * once)) <= 1e-12
 
 
@@ -297,7 +297,7 @@ class TestBatchedParity:
         probe = rng.normal(size=(4, 6))
 
         enc, saved = lde_forward(x, d, cfg)
-        gx = lde_backward(saved, probe, d, cfg)
+        gx = lde_backward(saved, probe, d)
         refs = [direct_lde(x[b], centers, raw, cfg, probe[b]) for b in range(4)]
 
         def rel(a, b):
@@ -317,65 +317,49 @@ class TestBatchedParity:
         assert enc.floored.tolist() == (floored if aggregation == AGG_NORMALIZED
                                         else [[False] * 3] * 4)
 
-    def test_sequence_is_a_batch_of_one(self):
-        rng = np.random.default_rng(18)
-        cfg = LdeConfig(3, 2, aggregation_mode=AGG_NORMALIZED)
-        centers, x = mixed_batch(rng)
-        d = Dictionary(centers, np.zeros((3, 1)))
-        probe = rng.normal(size=(4, 3, 2))
-        batch, saved = lde_forward(x, d, cfg)
-        gx = lde_backward(saved, probe, d, cfg)
-        for b in range(4):
-            single, s_saved = lde_forward(x[b], d, cfg)
-            assert single.e.shape == (3, 2)
-            assert np.max(np.abs(single.e - batch.e[b])) <= 1e-15
-            assert single.floored.tolist() == batch.floored[b].tolist()
-            assert np.max(np.abs(lde_backward(s_saved, probe[b], d, cfg)
-                                 - gx[b])) <= 1e-15
-
 
 class TestTapForward:
     def test_constant_sequence(self):
         v = np.array([1.5, -2.0, 0.25])
-        x = np.tile(v[:, None], (1, 9))
-        assert np.array_equal(tap_forward(x), v)
+        x = np.tile(v[:, None], (1, 1, 9))
+        assert np.array_equal(tap_forward(x), v[None])
 
     def test_hand_case(self):
-        assert np.array_equal(tap_forward(np.array([[1.0, 3.0], [2.0, 4.0]])),
-                              np.array([2.0, 3.0]))
+        assert np.array_equal(tap_forward(np.array([[[1.0, 3.0], [2.0, 4.0]]])),
+                              np.array([[2.0, 3.0]]))
 
     def test_equals_degenerate_lde_on_random_inputs(self):
         rng = np.random.default_rng(9)
         cfg = LdeConfig(1, 3, aggregation_mode=AGG_MEAN, length_normalize=False)
         d = Dictionary.zeros(cfg)
         for _ in range(100):
-            x = rng.normal(size=(3, int(rng.integers(1, 40))))
+            x = rng.normal(size=(1, 3, int(rng.integers(1, 40))))
             enc, _ = lde_forward(x, d, cfg)
             assert np.max(np.abs(enc.flat - tap_forward(x))) <= 1e-12
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySequenceError):
-            tap_forward(np.zeros((3, 0)))
+            tap_forward(np.zeros((1, 3, 0)))
 
 
 class TestLengthNormalize:
     def test_hand_case(self):
-        out, flag = length_normalize(np.array([3.0, 4.0]))
-        assert not flag
-        assert np.max(np.abs(out - np.array([0.6, 0.8]))) <= 1e-15
+        out, flag = length_normalize(np.array([[3.0, 4.0]]))
+        assert flag.tolist() == [False]
+        assert np.max(np.abs(out - np.array([[0.6, 0.8]]))) <= 1e-15
 
     def test_zero_vector_flagged(self):
-        out, flag = length_normalize(np.zeros(4))
-        assert flag
-        assert np.array_equal(out, np.zeros(4))
+        out, flag = length_normalize(np.zeros((1, 4)))
+        assert flag.tolist() == [True]
+        assert np.array_equal(out, np.zeros((1, 4)))
 
     def test_random_outputs_unit_norm(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
             v = rng.normal(size=int(rng.integers(1, 30))) * 10.0 ** rng.integers(-3, 4)
-            out, flag = length_normalize(v)
-            assert not flag
-            assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
+            out, flag = length_normalize(v[None])
+            assert flag.tolist() == [False]
+            assert abs(np.linalg.norm(out[0]) - 1.0) <= 1e-12
 
 
 class TestHardAssign:
@@ -396,7 +380,7 @@ class TestHardAssign:
                         aggregation_mode=AGG_MEAN, length_normalize=False)
         d = make_dictionary(rng, cfg)
         x = rng.normal(size=(3, 50))
-        _, saved = lde_forward(x, d, cfg)
+        _, saved = lde_forward(x[None], d, cfg)
         assert np.array_equal(np.argmax(saved.weights[0], axis=1),
                               hard_assign(x, d))
 
@@ -411,6 +395,6 @@ class TestHardAssign:
         for beta in (1e2, 1e4, 1e6):
             cfg = LdeConfig(3, 2, smoothing_mode=SMOOTHING_SHARED, beta=beta,
                             aggregation_mode=AGG_MEAN, length_normalize=False)
-            _, saved = lde_forward(x, d, cfg)
+            _, saved = lde_forward(x[None], d, cfg)
             deviations.append(np.max(np.abs(saved.weights[0] - onehot)))
         assert deviations[0] > deviations[1] >= deviations[2]

@@ -8,8 +8,6 @@ from ldekit.frontend import (
     LengthError,
     ResidualBlock,
     StageSpec,
-    frontend_backward,
-    frontend_forward,
 )
 from ldekit.ndcore import Rng
 
@@ -146,41 +144,41 @@ class TestFrontend:
         lengths = list(range(spec.min_length, 65)) + [100, 127, 128, 333, 512,
                                                       999, 1000, 2048, 4000]
         for length in lengths:
-            y, _ = frontend_forward(np.zeros((1, length)), fe)
-            assert y.shape[1] == spec.out_length(length), length
+            y, _ = fe.forward_batch(np.zeros((1, 1, length)))
+            assert y.shape[2] == spec.out_length(length), length
 
     def test_two_downsamples_200_to_50(self):
         fe = Frontend(tiny_spec(), Rng(9))
-        y, _ = frontend_forward(np.zeros((3, 200)), fe)
-        assert y.shape == (4, 50)
+        y, _ = fe.forward_batch(np.zeros((1, 3, 200)))
+        assert y.shape == (1, 4, 50)
 
     def test_too_short_input_names_minimum(self):
         fe = Frontend(tiny_spec(), Rng(10))
         with pytest.raises(LengthError, match="minimum 4"):
-            frontend_forward(np.zeros((3, 3)), fe)
+            fe.forward_batch(np.zeros((1, 3, 3)))
 
     def test_deterministic_given_parameters(self):
         fe = Frontend(tiny_spec(), Rng(11))
-        x = np.random.default_rng(11).normal(size=(3, 20))
-        a, _ = frontend_forward(x, fe)
-        b, _ = frontend_forward(x, fe)
+        x = np.random.default_rng(11).normal(size=(1, 3, 20))
+        a, _ = fe.forward_batch(x)
+        b, _ = fe.forward_batch(x)
         assert np.array_equal(a, b)
         assert np.isfinite(a).all()
 
     def test_composed_gradcheck_tiny_spec(self):
         rng = np.random.default_rng(12)
         fe = Frontend(tiny_spec("tanh"), Rng(12))
-        x = rng.normal(size=(3, 16))
-        probe = rng.normal(size=(4, 4))
+        x = rng.normal(size=(1, 3, 16))
+        probe = rng.normal(size=(1, 4, 4))
 
         def phi():
-            y, _ = frontend_forward(x, fe)
+            y, _ = fe.forward_batch(x)
             return float((probe * y).sum())
 
-        _, saved = frontend_forward(x, fe)
+        _, caches = fe.forward_batch(x)
         for p in fe.params():
             p.zero_grad()
-        dx = frontend_backward(fe, saved, probe)
+        dx = fe.backward_batch(caches, probe)
         assert_grad_close(dx, central_diff(phi, x), 1e-4, "frontend input")
         for p in fe.params():
             assert_grad_close(p.grad, central_diff(phi, p.value), 1e-4, p.name)
@@ -191,8 +189,8 @@ class TestFrontend:
         xs = rng.normal(size=(4, 3, 24))
         batch, _ = fe.forward_batch(xs)
         for i in range(4):
-            single, _ = frontend_forward(xs[i], fe)
-            assert np.max(np.abs(batch[i] - single)) <= 1e-12
+            single, _ = fe.forward_batch(xs[i:i + 1])
+            assert np.max(np.abs(batch[i] - single[0])) <= 1e-12
 
     def test_channel_shrink_rejected(self):
         with pytest.raises(ValueError):

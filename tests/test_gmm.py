@@ -2,14 +2,20 @@ import numpy as np
 import pytest
 
 from ldekit.gmm import (
-    BaumWelchStats,
     GmmModel,
     accumulate_stats,
     em_fit,
     gmm_classify,
     log_posterior_scores,
     posteriors,
-    supervector,
+)
+from ldekit.encoding import (
+    AGG_NORMALIZED,
+    DENOM_FLOOR,
+    SMOOTHING_SHARED,
+    Dictionary,
+    LdeConfig,
+    lde_forward,
 )
 from ldekit.ndcore import DimensionError, Rng
 
@@ -111,40 +117,49 @@ class TestAccumulateStats:
             assert np.all(stats.n <= length + 1e-9)
 
 
-class TestSupervector:
-    def test_zero_stats_give_zero_vector(self):
-        sv = supervector(BaumWelchStats(n=np.array([3.0, 2.0]),
-                                        f=np.zeros((2, 2))))
-        assert np.array_equal(sv.v, np.zeros(4))
+def lde_as_gmm(means, var, x):
+    """The dictionary encoder in the configuration that mirrors a GMM with
+    equal weights and one shared variance `var` on one D x L sequence."""
+    cfg = LdeConfig(means.shape[0], means.shape[1],
+                    smoothing_mode=SMOOTHING_SHARED, beta=1.0 / (2.0 * var),
+                    aggregation_mode=AGG_NORMALIZED, length_normalize=False)
+    enc, _ = lde_forward(x[None], Dictionary(means, np.zeros((len(means), 1))),
+                         cfg)
+    return enc.e[0], enc.floored[0]
 
-    def test_single_component_is_mean_residual(self):
-        f = np.array([[1.5, -3.0]])
-        sv = supervector(BaumWelchStats(n=np.array([6.0]), f=f))
-        assert np.max(np.abs(sv.v - f[0] / 6.0)) <= 1e-15
 
-    def test_matches_elementwise_division_oracle(self):
-        rng = np.random.default_rng(6)
-        n = rng.uniform(0.5, 20.0, size=5)
-        f = rng.normal(size=(5, 3))
-        sv = supervector(BaumWelchStats(n=n, f=f))
-        ref = np.concatenate([f[c] / n[c] for c in range(5)])
-        assert np.max(np.abs(sv.v - ref)) <= 1e-12
-        assert abs(np.linalg.norm(sv.normalized) - 1.0) <= 1e-12
+class TestLdeContainsSupervector:
+    def test_centered_means_equal_lde_output(self):
+        # equal weights and a shared isotropic variance make the GMM
+        # posteriors softmax(-||x - mu_c||^2 / (2 var)), the encoder's
+        # weights at beta = 1 / (2 var), so f_c / n_c is its output
+        rng = np.random.default_rng(20)
+        for _ in range(50):
+            comp, dim = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+            var = float(rng.uniform(0.3, 3.0))
+            means = rng.normal(size=(comp, dim)) * 2.0
+            m = GmmModel(np.full(comp, 1.0 / comp), means,
+                         np.full((comp, dim), var))
+            x = rng.normal(size=(dim, int(rng.integers(1, 60)))) * 2.0
+            stats = accumulate_stats(m, x)
+            e, floored = lde_as_gmm(means, var, x)
+            ref = stats.f / stats.n[:, None]
+            assert not floored.any()
+            assert np.max(np.abs(e - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_unseen_component_flagged_and_zeroed(self):
-        sv = supervector(BaumWelchStats(n=np.array([4.0, 1e-40]),
-                                        f=np.array([[2.0], [1e-35]])))
-        assert sv.unseen == [1]
-        assert sv.v[1] == 0.0
-
-    def test_norm_tiny_when_frames_sit_on_a_well_separated_mean(self):
-        m = GmmModel(np.array([0.5, 0.5]),
-                     np.array([[0.0], [30.0]]),
-                     np.ones((2, 1)))
-        x = np.zeros((1, 20))
-        sv = supervector(accumulate_stats(m, x))
-        assert np.linalg.norm(sv.v) < 1e-6
-        assert sv.unseen == [1]
+    def test_below_floor_lde_clamps_the_count(self):
+        # a component whose count falls under DENOM_FLOOR is flagged and
+        # divided by the floor, not zeroed or divided by its tiny count
+        means = np.array([[0.0], [12.0]])
+        m = GmmModel(np.array([0.5, 0.5]), means, np.ones((2, 1)))
+        x = np.array([[0.0, 0.1, -0.1]])
+        stats = accumulate_stats(m, x)
+        assert 0.0 < stats.n[1] < DENOM_FLOOR
+        e, floored = lde_as_gmm(means, 1.0, x)
+        assert floored.tolist() == [False, True]
+        assert abs(e[0, 0] - stats.f[0, 0] / stats.n[0]) <= 1e-12
+        assert abs(e[1, 0] - stats.f[1, 0] / DENOM_FLOOR) <= \
+            1e-12 * abs(stats.f[1, 0] / DENOM_FLOOR)
 
 
 class TestEmFit:

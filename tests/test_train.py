@@ -3,10 +3,17 @@ import pytest
 
 from fdcheck import assert_grad_close, central_diff
 from ldekit.data import CropPolicy, Utterance
-from ldekit.encoding import AGG_MEAN, LdeConfig
-from ldekit.frontend import ConvSpec, StageSpec
+from ldekit.encoding import (
+    AGG_MEAN,
+    Dictionary,
+    LdeConfig,
+    lde_forward,
+    length_normalize,
+    tap_forward,
+)
+from ldekit.frontend import ConvSpec, Frontend, StageSpec
 from ldekit.gmm import GmmModel
-from ldekit.ndcore import Param, Rng
+from ldekit.ndcore import DimensionError, Param, Rng
 from ldekit.train import (
     CheckpointError,
     LinearClassifier,
@@ -44,36 +51,37 @@ def toy_utts(count, dim, rng, lmin=10, lmax=30, num_classes=2):
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
-        loss, _ = cross_entropy(np.zeros(4), 2)
-        assert abs(loss - np.log(4.0)) <= 1e-15
+        loss, _ = cross_entropy(np.zeros((1, 4)), [2])
+        assert abs(loss[0] - np.log(4.0)) <= 1e-15
 
     def test_confident_correct_is_tiny(self):
-        logits = np.zeros(4)
-        logits[1] = 50.0
-        loss, _ = cross_entropy(logits, 1)
-        assert 0.0 <= loss < 1e-20
+        logits = np.zeros((1, 4))
+        logits[0, 1] = 50.0
+        loss, _ = cross_entropy(logits, [1])
+        assert 0.0 <= loss[0] < 1e-20
 
     def test_loss_nonnegative(self):
         rng = Rng(3)
-        for _ in range(50):
-            logits = rng.normal((5,)) * 10
-            loss, _ = cross_entropy(logits, 0)
-            assert loss >= 0.0
+        logits = rng.normal((50, 5)) * 10
+        loss, _ = cross_entropy(logits, np.zeros(50, dtype=int))
+        assert np.all(loss >= 0.0)
 
     def test_gradient_sums_to_zero(self):
-        _, grad = cross_entropy(np.array([1.0, -2.0, 0.3]), 1)
+        _, grad = cross_entropy(np.array([[1.0, -2.0, 0.3]]), [1])
         assert abs(grad.sum()) <= 1e-15
 
     def test_gradient_matches_finite_differences(self):
         rng = Rng(5)
-        logits = rng.normal((6,))
-        _, grad = cross_entropy(logits, 4)
-        numeric = central_diff(lambda: cross_entropy(logits, 4)[0], logits)
+        logits = rng.normal((3, 6))
+        labels = [4, 0, 5]
+        _, grad = cross_entropy(logits, labels)
+        numeric = central_diff(lambda: cross_entropy(logits, labels)[0].sum(),
+                               logits)
         assert_grad_close(grad, numeric, 1e-6, "cross entropy")
 
     def test_label_out_of_range(self):
         with pytest.raises(IndexError):
-            cross_entropy(np.zeros(3), 3)
+            cross_entropy(np.zeros((2, 3)), [0, 3])
 
 
 class TestLinearClassifier:
@@ -91,13 +99,9 @@ class TestLinearClassifier:
         labels = [0, 2]
 
         def loss():
-            logits = cls.forward_batch(embeds)
-            return sum(cross_entropy(logits[b], labels[b])[0]
-                       for b in range(2))
+            return cross_entropy(cls.forward_batch(embeds), labels)[0].sum()
 
-        logits = cls.forward_batch(embeds)
-        dlogits = np.stack([cross_entropy(logits[b], labels[b])[1]
-                            for b in range(2)])
+        dlogits = cross_entropy(cls.forward_batch(embeds), labels)[1]
         dembeds = cls.backward_batch(embeds, dlogits)
         for param in cls.params():
             numeric = central_diff(loss, param.value)
@@ -257,6 +261,50 @@ class TestPooledScoring:
             single = infer(model, feats[b])
             assert np.max(np.abs(logits[b] - single)) <= \
                 1e-12 * np.max(np.abs(single))
+
+
+def tiny_lde_model():
+    fe = ConvSpec(in_dim=3, stages=[StageSpec(4, 1, True)])
+    return Model(ModelConfig(in_dim=3, num_classes=2, encoder="lde",
+                             lde=LdeConfig(2, 4), frontend=fe), Rng(0))
+
+
+class TestBatchContract:
+    """Every layer takes batches only; infer alone takes one D x L
+    utterance. A single item is a D x L sequence for the layers and one
+    vector for length_normalize."""
+
+    @pytest.mark.parametrize("layer", [
+        lambda x: lde_forward(x, Dictionary.zeros(LdeConfig(2, 3)),
+                              LdeConfig(2, 3)),
+        tap_forward,
+        lambda x: length_normalize(x.reshape(-1)),
+        lambda x: Frontend(ConvSpec(in_dim=3, stages=[StageSpec(4, 1, True)]),
+                           Rng(0)).forward_batch(x),
+        lambda x: tiny_lde_model().forward_batch(x),
+    ], ids=["lde_forward", "tap_forward", "length_normalize",
+            "Frontend.forward_batch", "Model.forward_batch"])
+    def test_single_item_rejected(self, layer):
+        with pytest.raises(DimensionError):
+            layer(np.ones((3, 8)))
+
+    def test_infer_takes_one_utterance(self):
+        model = tiny_lde_model()
+        x = Rng(1).normal((3, 8))
+        logits, _ = model.forward_batch(x[None])
+        assert np.array_equal(infer(model, x), logits[0])
+
+    def test_batch_loss_sums_members_left_to_right(self):
+        # on these inputs np.sum's pairwise order and math.fsum both give a
+        # different last bit, so the loss log would change under either
+        model = Model(ModelConfig(in_dim=3, num_classes=4), Rng(4))
+        feats = Rng(3).normal((32, 3, 10), std=5.0)
+        labels = np.arange(32) % 4
+        losses, _ = cross_entropy(model.forward_batch(feats)[0], labels)
+        total = 0.0
+        for loss in losses:
+            total += loss
+        assert batch_loss(model, feats, labels, accumulate=False) == total / 32
 
 
 class TestAveragePoolingEquivalence:
