@@ -253,19 +253,19 @@ def fit_gmm_bank(utts: list[Utterance], num_classes: int, g
                  ) -> tuple[list[GmmModel], list[list[float]], list[int]]:
     """Per-class EM mixtures on pooled features, thinned by an even stride
     to `max_frames_per_class`; returns the models, their log-likelihood
-    histories and the frame counts they were fit on."""
-    pooled: list[list[np.ndarray]] = [[] for _ in range(num_classes)]
-    for utt in utts:
-        pooled[utt.label].append(_gmm_features(utt, g).T)
+    histories and the frame counts they were fit on. One class at a time,
+    in corpus order: only its thinned, contiguous frames live in its fit."""
     rng = Rng(g.seed)
     models, histories, counts = [], [], []
     for k in range(num_classes):
-        if not pooled[k]:
+        pooled = [_gmm_features(u, g).T for u in utts if u.label == k]
+        if not pooled:
             raise CorpusFormatError(f"no training utterances for class L{k}")
-        frames = np.concatenate(pooled[k], axis=0)
+        frames = np.concatenate(pooled, axis=0)
+        del pooled
         if 0 < g.max_frames_per_class < frames.shape[0]:
             stride = -(-frames.shape[0] // g.max_frames_per_class)
-            frames = frames[::stride]
+            frames = frames[::stride].copy()
         model, history = em_fit(frames, g.components, g.iterations,
                                 rng.split(k))
         models.append(model)

@@ -234,7 +234,11 @@ def lde_backward(saved: LdeSaved, grad_out: np.ndarray,
     x, centers, weights = saved.x, saved.centers, saved.weights
     frames = x.transpose(0, 2, 1)
     dim = x.shape[1]
-    g = np.asarray(grad_out, dtype=np.float64).reshape(batch, num_comp * dim)
+    g = np.asarray(grad_out, dtype=np.float64)
+    if g.shape not in ((batch, num_comp, dim), (batch, num_comp * dim)):
+        raise DimensionError(f"expected a ({batch}, {num_comp}, {dim}) output "
+                             f"gradient or its flat form, got {g.shape}")
+    g = g.reshape(batch, num_comp * dim)
 
     if cfg.length_normalize:
         # y = v / ||v||  =>  dv = (g - (g . y) y) / ||v||, per member whose

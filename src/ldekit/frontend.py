@@ -78,12 +78,6 @@ class ConvSpec:
     def out_dim(self) -> int:
         return self.stages[-1].channels
 
-    def out_length(self, length: int) -> int:
-        for st in self.stages:
-            if st.downsample:
-                length = -(-length // 2)
-        return length
-
     @classmethod
     def desk_default(cls, in_dim: int) -> "ConvSpec":
         """Two downsampling stages, 16 then 32 channels, one block each."""

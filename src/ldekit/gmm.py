@@ -123,8 +123,11 @@ def _kmeans(frames: np.ndarray, num_components: int, iters: int,
     for _ in range(iters):
         d2 = sq_dists(frames, centers)
         assign = np.argmin(d2, axis=1)
-        for c in range(num_components):
-            members = frames[assign == c]
+        # one stable sort puts each cluster's members in a contiguous run of
+        # rows, in frame order
+        grouped = frames[np.argsort(assign, kind="stable")]
+        ends = np.cumsum(np.bincount(assign, minlength=num_components))
+        for c, members in enumerate(np.split(grouped, ends[:-1])):
             if len(members) == 0:
                 # re-seed an empty cluster at the point farthest from its center
                 centers[c] = frames[np.argmax(d2[:, c])]
@@ -139,11 +142,14 @@ def em_fit(frames: np.ndarray, num_components: int, iters: int,
     log-likelihood history (one entry per iteration, evaluated before
     that iteration's update, so the sequence is non-decreasing).
 
+    `frames` is made C-contiguous on entry (free when it already is), so
+    every product runs on contiguous rows.
+
     Init is 10 seeded k-means iterations; variances then come from
     cluster scatter and weights from cluster sizes. Components that lose
     all posterior mass are re-seeded near the highest-variance component.
     """
-    frames = np.asarray(frames, dtype=np.float64)
+    frames = np.ascontiguousarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[1] < 1:
         raise DimensionError("expected pooled frames as an N x D array")
     n_frames, dim = frames.shape
@@ -167,11 +173,17 @@ def em_fit(frames: np.ndarray, num_components: int, iters: int,
         variances[c] = np.maximum(scatter, var_floor)
     model = GmmModel(weights=weights, means=centers, variances=variances)
 
+    frames_sq = frames ** 2
     ll_history = []
     for it in range(iters):
-        logdens = log_densities(model, frames)
-        ll_history.append(float(log_sum_exp_rows(logdens).sum()))
-        post = softmax_rows(logdens)
+        # one max shift and exp give both log_sum_exp_rows and softmax_rows
+        post = log_densities(model, frames)
+        top = post.max(axis=1)
+        post -= top[:, None]
+        np.exp(post, out=post)
+        total = post.sum(axis=1)
+        ll_history.append(float((top + np.log(total)).sum()))
+        post /= total[:, None]
         n = post.sum(axis=0)
 
         empty = np.flatnonzero(n < EMPTY_COMPONENT_FLOOR)
@@ -190,7 +202,7 @@ def em_fit(frames: np.ndarray, num_components: int, iters: int,
 
         weights = n / n.sum()
         means = (post.T @ frames) / n[:, None]
-        sq = (post.T @ (frames ** 2)) / n[:, None]
+        sq = (post.T @ frames_sq) / n[:, None]
         variances = np.maximum(sq - means ** 2, var_floor)
         model = GmmModel(weights=weights, means=means, variances=variances)
     return model, ll_history

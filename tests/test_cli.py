@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from ldekit.cli import _print_bucket_metrics, fit_gmm_bank, main
-from ldekit.config import load_config
-from ldekit.data import duration_bucket, read_corpus
+from ldekit.config import GmmSettings, load_config
+from ldekit.data import (
+    SyntheticSpec,
+    duration_bucket,
+    generate_corpus,
+    read_corpus,
+    sdc,
+)
 from ldekit.metrics import TrialScore, TrialSet, read_scores
 from ldekit.ndcore import Rng
 from ldekit.train import Model, load_gmm_bank, load_model
@@ -440,3 +446,24 @@ sdc_shift = 30
     code = main(["gmm", "--config", bad, "--force"])
     assert code == 2
     assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "runs" / "gmm.ckpt").exists()
+    assert not (tmp_path / "runs" / "gmm_scores.txt").exists()
+
+
+def test_gmm_bank_holds_one_class_of_features_at_a_time():
+    import tracemalloc
+    train, _ = generate_corpus(SyntheticSpec(
+        num_classes=4, feature_dim=8, min_len=100, max_len=300,
+        train_utterances=48, test_utterances=4, seed=2))
+    all_classes = sum(sdc(u.features).nbytes for u in train)
+    frames = sum(u.num_frames for u in train)
+    # thin each class to about half its frames, so the thinned copy is used
+    g = GmmSettings(components=2, iterations=2,
+                    max_frames_per_class=frames // 8)
+    tracemalloc.start()
+    try:
+        fit_gmm_bank(train, 4, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < all_classes

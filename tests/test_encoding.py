@@ -186,6 +186,19 @@ class TestLdeBackward:
         with pytest.raises(Exception):
             lde_backward(saved, np.zeros((1, 3, 3)), d)
 
+    def test_transposed_grad_of_the_right_size_rejected(self):
+        # B=1, C=3, D=2: the (1, D, C) transpose holds the right number of
+        # entries in the wrong layout
+        rng = np.random.default_rng(9)
+        cfg = LdeConfig(3, 2)
+        d = make_dictionary(rng, cfg)
+        _, saved = lde_forward(rng.normal(size=(1, 2, 4)), d, cfg)
+        g = rng.normal(size=(1, 3, 2))
+        lde_backward(saved, g, d)
+        lde_backward(saved, g.reshape(1, 6), d)
+        with pytest.raises(DimensionError):
+            lde_backward(saved, g.transpose(0, 2, 1), d)
+
     @pytest.mark.parametrize("smoothing,aggregation,lennorm", ALL_MODE_COMBOS)
     def test_matches_central_differences(self, smoothing, aggregation, lennorm):
         # C=3, D=2, L=5 random instance; every partial (input, centers,

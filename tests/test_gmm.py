@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from ldekit.gmm import (
+    EMPTY_COMPONENT_FLOOR,
+    VAR_FLOOR_FRACTION,
     GmmModel,
+    _kmeans,
     accumulate_stats,
     em_fit,
     gmm_classify,
+    log_densities,
     log_posterior_scores,
     posteriors,
 )
@@ -17,7 +21,13 @@ from ldekit.encoding import (
     LdeConfig,
     lde_forward,
 )
-from ldekit.ndcore import DimensionError, Rng
+from ldekit.ndcore import (
+    DimensionError,
+    Rng,
+    log_sum_exp_rows,
+    softmax_rows,
+    sq_dists,
+)
 
 
 def random_model(rng, num_components, dim):
@@ -162,6 +172,95 @@ class TestLdeContainsSupervector:
             1e-12 * abs(stats.f[1, 0] / DENOM_FLOOR)
 
 
+def reference_kmeans(frames, num_components, iters, rng):
+    """Lloyd iterations with one boolean mask per cluster, as `_kmeans`
+    computed them before it grouped members by a sort; also returns how
+    many empty clusters were re-seeded."""
+    n = frames.shape[0]
+    centers = frames[rng.choice(n, num_components, replace=False)].copy()
+    reseeds = 0
+    for _ in range(iters):
+        d2 = sq_dists(frames, centers)
+        assign = np.argmin(d2, axis=1)
+        for c in range(num_components):
+            members = frames[assign == c]
+            if len(members) == 0:
+                centers[c] = frames[np.argmax(d2[:, c])]
+                reseeds += 1
+            else:
+                centers[c] = members.mean(axis=0)
+    return centers, reseeds
+
+
+def reference_em_fit(frames, num_components, iters, rng):
+    """EM with a separate log-sum-exp and softmax per E-step and the
+    squared frames rebuilt per M-step, as `em_fit` computed them before
+    it fused the E-step and kept the squares."""
+    frames = np.asarray(frames, dtype=np.float64)
+    dim = frames.shape[1]
+    global_var = frames.var(axis=0)
+    var_floor = np.maximum(VAR_FLOOR_FRACTION * global_var, 1e-12)
+    centers, _ = reference_kmeans(frames, num_components, 10, rng)
+    assign = np.argmin(sq_dists(frames, centers), axis=1)
+    counts = np.maximum(np.bincount(assign, minlength=num_components), 1.0)
+    variances = np.empty((num_components, dim))
+    for c in range(num_components):
+        members = frames[assign == c]
+        scatter = members.var(axis=0) if len(members) > 1 else global_var
+        variances[c] = np.maximum(scatter, var_floor)
+    model = GmmModel(counts / counts.sum(), centers, variances)
+    history = []
+    for _ in range(iters):
+        logdens = log_densities(model, frames)
+        history.append(float(log_sum_exp_rows(logdens).sum()))
+        post = softmax_rows(logdens)
+        n = post.sum(axis=0)
+        empty = np.flatnonzero(n < EMPTY_COMPONENT_FLOOR)
+        if len(empty) > 0:
+            donor = int(np.argmax(model.variances.sum(axis=1)))
+            for c in empty:
+                jitter = rng.normal((dim,)) * np.sqrt(model.variances[donor])
+                model.means[c] = model.means[donor] + 0.1 * jitter
+                model.variances[c] = model.variances[donor].copy()
+            post = softmax_rows(log_densities(model, frames))
+            n = np.maximum(post.sum(axis=0), EMPTY_COMPONENT_FLOOR)
+        means = (post.T @ frames) / n[:, None]
+        sq = (post.T @ (frames ** 2)) / n[:, None]
+        model = GmmModel(n / n.sum(), means,
+                         np.maximum(sq - means ** 2, var_floor))
+    return model, history
+
+
+def assert_same_fit(fit_a, fit_b):
+    (a, history_a), (b, history_b) = fit_a, fit_b
+    for name in ("weights", "means", "variances"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert history_a == history_b
+
+
+class TestKmeans:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_centers_bit_identical_to_mask_loop(self, seed):
+        gen = np.random.default_rng(40 + seed)
+        frames = np.vstack([gen.normal(size=(300, 5)) * s + off
+                            for s, off in
+                            ((1.0, 0.0), (0.4, 2.5), (2.0, -3.0))])
+        got = _kmeans(frames, 8, 10, Rng(seed))
+        want, _ = reference_kmeans(frames, 8, 10, Rng(seed))
+        assert np.array_equal(got, want)
+
+    def test_empty_cluster_reseed_bit_identical(self):
+        # most frames repeat one row, so the initial draw holds duplicate
+        # centers and every duplicate after the first gets no members
+        gen = np.random.default_rng(45)
+        frames = gen.normal(size=(200, 3))
+        frames[:150] = frames[0]
+        got = _kmeans(frames, 6, 5, Rng(6))
+        want, reseeds = reference_kmeans(frames, 6, 5, Rng(6))
+        assert reseeds > 0
+        assert np.array_equal(got, want)
+
+
 class TestEmFit:
     def test_single_component_closed_form(self):
         rng = np.random.default_rng(7)
@@ -210,6 +309,21 @@ class TestEmFit:
         frames[0, 1] = 1.0  # keep global variance positive
         model, _ = em_fit(frames, 2, 10, Rng(3))
         assert np.all(model.variances > 0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bit_identical_to_separate_e_step(self, seed):
+        gen = np.random.default_rng(50 + seed)
+        frames = np.vstack([gen.normal(size=(400, 4)) * s + off
+                            for s, off in
+                            ((1.0, 0.0), (0.5, 2.0), (2.0, -3.0))])
+        assert_same_fit(em_fit(frames, 6, 8, Rng(seed)),
+                        reference_em_fit(frames, 6, 8, Rng(seed)))
+
+    def test_strided_input_fits_like_its_copy(self):
+        x = np.random.default_rng(13).normal(size=(3000, 7))
+        assert not x[::3].flags.c_contiguous
+        assert_same_fit(em_fit(x[::3], 8, 6, Rng(7)),
+                        em_fit(x[::3].copy(), 8, 6, Rng(7)))
 
     def test_memory_stays_below_a_frames_by_centers_tensor(self):
         import tracemalloc
