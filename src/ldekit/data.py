@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ndcore import DimensionError, Rng
+from .ndcore import DimensionError, Rng, atomic_write
 
 MAGIC = b"LDEC"
 FORMAT_VERSION = 1
@@ -252,7 +252,7 @@ def make_batches(utts: list[Utterance], batch_size: int, policy: CropPolicy,
 
 def write_corpus(path, utts: list[Utterance], num_classes: int,
                  feature_dim: int) -> None:
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<III", FORMAT_VERSION, num_classes, feature_dim))
         for u in utts:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ndcore import log_sum_exp_rows
+from .ndcore import atomic_write, log_sum_exp_rows
 
 
 class ScoresFormatError(ValueError):
@@ -289,7 +289,7 @@ def train_fusion(systems: list[TrialSet], iterations: int = 500,
 # scores file: "utt_id<TAB>true_label<TAB>class:score,class:score,..."
 
 def write_scores(path, trials: TrialSet) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         for t in trials.trials:
             rendered = ",".join(f"{name}:{value:.17g}"
                                 for name, value in zip(trials.class_names,
@@ -345,6 +345,6 @@ def write_det_points(path, trials: TrialSet, target: int) -> None:
     one 'threshold<TAB>p_miss<TAB>p_fa' line per point."""
     tgt, non = _split_scores(trials, target)
     thresholds, miss, fa = operating_points(tgt, non)
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         for t, m, f in zip(thresholds, miss, fa):
             fh.write(f"{t:.17g}\t{m:.17g}\t{f:.17g}\n")

@@ -4,11 +4,14 @@ Frame-to-center squared distances for hard assignment and for every
 mixture computation come from `sq_dists`. Randomness goes through `Rng`,
 a counter-based Philox generator that can be split into independent,
 reproducible child streams so data generation, parameter init and batch
-cropping never perturb each other's draws.
+cropping never perturb each other's draws. Every artifact file is written
+through `atomic_write`, so a failed write never leaves a partial file.
 """
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +19,22 @@ import numpy as np
 
 class DimensionError(ValueError):
     """Shapes of the operands do not line up."""
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Opens a temp file beside `path` for writing. On a clean exit it
+    replaces `path` in one `os.replace`; on any exception it is deleted
+    and `path` is left as it was."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def sq_dists(frames: np.ndarray, centers: np.ndarray,

@@ -3,7 +3,11 @@
 A model is a front-end (optional), a pooling encoder (average pooling or
 the learnable dictionary encoder), and a linear classifier. Training is
 plain momentum SGD with weight decay and a two-drop step schedule,
-cropping every batch to one shared random length. Checkpoints are
+cropping every batch to one shared random length. A batch runs forward
+and backward one slice of whole members at a time, each slice at most
+SLICE_FRAMES crop frames: the step is bound by memory traffic, not by
+FLOPs, and small slices keep each convolution's im2col patch matrix
+near cache size at every crop length (see `batch_loss`). Checkpoints are
 section-tagged little-endian binary files with a JSON meta block, so a
 reload reproduces the model bit for bit.
 """
@@ -13,6 +17,7 @@ from __future__ import annotations
 import json
 import struct
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,7 +26,8 @@ from .data import CropPolicy, make_batches
 from .encoding import Dictionary, LdeConfig, lde_backward, lde_forward, tap_forward
 from .frontend import ConvSpec, Frontend, StageSpec
 from .gmm import GmmModel
-from .ndcore import DimensionError, Param, Rng, log_sum_exp_rows, rng_gaussian
+from .ndcore import (DimensionError, Param, Rng, atomic_write,
+                     log_sum_exp_rows, rng_gaussian)
 
 CKPT_MAGIC = b"LDEK"
 CKPT_VERSION = 1
@@ -293,17 +299,49 @@ def infer(model: Model, feats: np.ndarray) -> np.ndarray:
     return logits[0]
 
 
+# Crop frames (members x crop length) that one forward and backward pass
+# holds at most. The training step is bound by memory traffic, not by
+# FLOPs: every convolution keeps an im2col patch matrix of its input
+# (kernel times its size) alive until the backward pass, so a whole
+# B=32, L=1000 batch of the default front-end peaks at 57 MiB, the stem's
+# patch matrix alone at 14.6 MiB, against an L2 cache of a few MiB.
+# Slices of at most this many frames peak at about 7 MiB at every crop
+# length, and their large temporaries are reused rather than fresh pages.
+SLICE_FRAMES = 4096
+
+
 def batch_loss(model: Model, feats: np.ndarray, labels: np.ndarray,
                accumulate: bool = True) -> float:
-    """Mean cross-entropy over one batch; optionally backprops it."""
-    logits, cache = model.forward_batch(feats)
-    losses, dlogits = cross_entropy(logits, labels)
-    num = logits.shape[0]
-    if accumulate:
-        model.backward_batch(cache, dlogits / num)
+    """Mean cross-entropy over one (B, D, L) batch; optionally backprops it.
+
+    The batch runs in consecutive slices of whole members, as few as keep
+    each slice within SLICE_FRAMES crop frames (one member per slice when
+    L alone exceeds it), split as evenly as whole members allow. Each
+    slice runs forward, loss and, when `accumulate` is set, backward with
+    its logit gradients scaled by 1/B, and its cache is freed before the
+    next slice starts. A batch within the budget is one slice. Sizing the
+    slices by frames rather than members keeps the step's working set
+    about the same at every crop length (see SLICE_FRAMES). The loss and
+    the parameter gradients equal a whole-batch pass up to rounding: the
+    gradients are summed slice by slice.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    num, length = feats.shape[0], feats.shape[-1]
+    if labels.shape != (num,):
+        raise IndexError(f"need {num} labels, got shape {labels.shape}")
+    count = -(-num // max(1, SLICE_FRAMES // length))
+    losses = []
+    for i in range(count):
+        lo, hi = num * i // count, num * (i + 1) // count
+        logits, cache = model.forward_batch(feats[lo:hi])
+        member_losses, dlogits = cross_entropy(logits, labels[lo:hi])
+        if accumulate:
+            model.backward_batch(cache, dlogits / num)
+        del cache  # before the next slice's forward builds its own
+        losses.append(member_losses)
     # strictly left to right, as a running float sum would add them: a
     # pairwise or compensated sum can move the last digit of the loss log
-    return float(np.add.accumulate(losses)[-1]) / num
+    return float(np.add.accumulate(np.concatenate(losses))[-1]) / num
 
 
 @dataclass
@@ -322,7 +360,8 @@ def train_model(model: Model, utts, sgd_cfg: SgdConfig, rng: Rng,
 
     Writes one 'step<TAB>loss<TAB>smoothed' line per step to log_path when
     given; the smoothed value is the mean of the last smooth_window raw
-    losses. Aborts with NumericalError on a non-finite loss.
+    losses. The log appears only when training completes. Aborts with
+    NumericalError on a non-finite loss.
     """
     if not utts:
         raise ValueError("no training utterances")
@@ -331,8 +370,8 @@ def train_model(model: Model, utts, sgd_cfg: SgdConfig, rng: Rng,
     optimizer = Sgd(model.trainable_params(), sgd_cfg)
     recent = deque(maxlen=smooth_window)
     history = []
-    log_fh = open(log_path, "w") if log_path is not None else None
-    try:
+    log = atomic_write(log_path) if log_path is not None else nullcontext()
+    with log as log_fh:
         step = 0
         for epoch in range(sgd_cfg.epochs):
             lr = learning_rate(sgd_cfg, epoch)
@@ -352,9 +391,6 @@ def train_model(model: Model, utts, sgd_cfg: SgdConfig, rng: Rng,
                 optimizer.step(lr)
                 model.zero_grads()  # frozen params accumulate too
                 step += 1
-    finally:
-        if log_fh is not None:
-            log_fh.close()
     return history
 
 
@@ -448,7 +484,7 @@ def save_checkpoint(path, meta: dict, params: list[Param] | None = None,
         sections.append((b"params", _pack_params(params)))
     if gmms is not None:
         sections.append((b"gmm", _pack_gmms(gmms)))
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<II", CKPT_VERSION, len(sections)))
         for tag, payload in sections:

@@ -384,3 +384,11 @@ class TestCorpusFile:
         utts = [Utterance("u0", 0, np.ones((3, 4)))]
         with pytest.raises(CorpusFormatError):
             write_corpus(tmp_path / "m.bin", utts, 2, 2)
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        # the first record is written before the second one fails
+        utts = [Utterance("u0", 0, np.ones((2, 4))),
+                Utterance("u1", 1, np.ones((3, 4)))]
+        with pytest.raises(CorpusFormatError):
+            write_corpus(tmp_path / "m.bin", utts, 2, 2)
+        assert list(tmp_path.iterdir()) == []

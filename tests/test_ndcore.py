@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from ldekit.ndcore import (
     DimensionError,
     Param,
     Rng,
+    atomic_write,
     log_sum_exp_rows,
     rng_gaussian,
     softmax_rows,
@@ -125,3 +128,31 @@ class TestParam:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             Param("w", np.ones((2, 2)), grad=np.zeros((3, 2)))
+
+
+class TestAtomicWrite:
+    def test_replaces_target_on_success(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+        with atomic_write(path) as fh:
+            fh.write("new")
+            assert path.read_text() == "old"
+        assert path.read_text() == "new"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_failure_keeps_target_and_removes_temp(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+        with pytest.raises(KeyboardInterrupt):
+            with atomic_write(path, "wb") as fh:
+                fh.write(b"partial")
+                raise KeyboardInterrupt
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+    def test_failure_creates_nothing(self, tmp_path):
+        with pytest.raises(ValueError):
+            with atomic_write(tmp_path / "new.txt") as fh:
+                fh.write("partial")
+                raise ValueError("bad record")
+        assert os.listdir(tmp_path) == []

@@ -1,10 +1,15 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import ldekit.train
 from fdcheck import assert_grad_close, central_diff
 from ldekit.data import CropPolicy, Utterance
 from ldekit.encoding import (
     AGG_MEAN,
+    AGG_NORMALIZED,
     Dictionary,
     LdeConfig,
     lde_forward,
@@ -20,6 +25,7 @@ from ldekit.train import (
     Model,
     ModelConfig,
     NumericalError,
+    SLICE_FRAMES,
     Sgd,
     SgdConfig,
     batch_loss,
@@ -307,6 +313,85 @@ class TestBatchContract:
         assert batch_loss(model, feats, labels, accumulate=False) == total / 32
 
 
+def whole_batch_loss(model, feats, labels):
+    """One forward and one backward pass over the whole batch at once."""
+    logits, cache = model.forward_batch(feats)
+    losses, dlogits = cross_entropy(logits, labels)
+    model.backward_batch(cache, dlogits / len(labels))
+    return float(np.add.accumulate(losses)[-1]) / len(labels)
+
+
+class TestSlicedBatch:
+    """batch_loss runs the batch in slices of whole members; a one-pass
+    reference over the whole batch is the specification."""
+
+    @staticmethod
+    def build(encoder, frontend):
+        fe = (ConvSpec(in_dim=3, stages=[StageSpec(4, 1, True)])
+              if frontend else None)
+        if encoder == "tap":
+            return Model(ModelConfig(in_dim=3, num_classes=3, frontend=fe),
+                         Rng(8))
+        return Model(lde_model_config(in_dim=3, num_classes=3, components=2,
+                                      frontend=fe, aggregation_mode=encoder),
+                     Rng(8))
+
+    @pytest.mark.parametrize("frontend", [True, False], ids=["fe", "raw"])
+    @pytest.mark.parametrize("encoder", [AGG_NORMALIZED, AGG_MEAN, "tap"])
+    @pytest.mark.parametrize("shape, sizes", [
+        ((7, 1500), [1, 2, 2, 2]),   # two members per slice, uneven split
+        ((3, SLICE_FRAMES + 4), [1, 1, 1]),  # one member over the budget
+        ((5, 40), [5]),              # within the budget: one slice
+    ], ids=["uneven", "over-budget", "one-slice"])
+    def test_matches_whole_batch(self, encoder, frontend, shape, sizes,
+                                 monkeypatch):
+        num, length = shape
+        model = self.build(encoder, frontend)
+        feats = Rng(9).normal((num, 3, length))
+        labels = np.arange(num) % 3
+        want = whole_batch_loss(model, feats, labels)
+        want_grads = {p.name: p.grad.copy() for p in model.params()}
+        model.zero_grads()
+
+        seen = []
+        forward = model.forward_batch
+
+        def recording_forward(x):
+            seen.append(len(x))
+            return forward(x)
+
+        monkeypatch.setattr(model, "forward_batch", recording_forward)
+        got = batch_loss(model, feats, labels)
+        assert seen == sizes
+        assert abs(got - want) <= 1e-12 * abs(want)
+        for p in model.params():
+            ref = want_grads[p.name]
+            assert np.max(np.abs(p.grad - ref)) <= \
+                1e-12 * np.max(np.abs(ref)), p.name
+
+    def test_label_count_must_match(self):
+        model = self.build("tap", False)
+        with pytest.raises(IndexError):
+            batch_loss(model, np.zeros((4, 3, 10)), np.zeros(5, dtype=int))
+
+    def test_step_peak_stays_below_the_stem_patch_matrix(self):
+        # the whole-batch step kept every conv's im2col patches alive at
+        # once; the stem's alone is B x (D x K) x L float64
+        spec = ConvSpec.desk_default(20)
+        model = Model(ModelConfig(20, 10, encoder="lde",
+                                  lde=LdeConfig(8, spec.out_dim),
+                                  frontend=spec), Rng(0))
+        feats = Rng(1).normal((32, 20, 1000))
+        labels = np.arange(32) % 10
+        tracemalloc.start()
+        try:
+            batch_loss(model, feats, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 60 * 1000 * 8, f"peak {peak / 2**20:.1f} MiB"
+
+
 class TestAveragePoolingEquivalence:
     def test_tap_equals_frozen_centerless_lde(self):
         # one-component dictionary pinned at the origin with mean
@@ -399,6 +484,16 @@ class TestTrainModel:
             train_model(model, utts, SgdConfig(epochs=1), Rng(6),
                         batch_size=16, policy=CropPolicy(12, 12))
 
+    def test_abort_leaves_no_loss_log(self, tmp_path):
+        cfg, utts = self.small_setup()
+        utts[7].features[:] = np.nan  # shuffled into the last batch
+        log = tmp_path / "loss.log"
+        with pytest.raises(NumericalError, match="at step 7"):
+            train_model(Model(cfg, Rng(5)), utts, SgdConfig(epochs=1),
+                        Rng(6), batch_size=2, policy=CropPolicy(8, 12),
+                        log_path=log)
+        assert os.listdir(tmp_path) == []
+
     def test_empty_corpus_rejected(self):
         cfg, _ = self.small_setup()
         with pytest.raises(ValueError):
@@ -461,6 +556,27 @@ class TestCheckpoints:
         save_model(pa, self.build_model(), epoch=1)
         save_model(pb, self.build_model(), epoch=1)
         assert pa.read_bytes() == pb.read_bytes()
+
+    def test_failed_save_leaves_target_unchanged(self, tmp_path,
+                                                 monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_model(path, self.build_model(), epoch=1)
+        before = path.read_bytes()
+        pack_block = ldekit.train._pack_block
+        packed = []
+
+        def fail_on_second_section(data):
+            packed.append(data)
+            if len(packed) == 2:  # the meta section is already written
+                raise OSError("disk full")
+            return pack_block(data)
+
+        monkeypatch.setattr(ldekit.train, "_pack_block",
+                            fail_on_second_section)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(path, self.build_model(), epoch=2)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.ckpt"]
 
     def test_gmm_bank_roundtrip(self, tmp_path):
         gmms = [GmmModel(weights=np.array([0.25, 0.75]),
