@@ -30,8 +30,6 @@ from .data import (
 from .encoding import LdeConfig
 from .gmm import GmmModel, em_fit, gmm_classify, log_posterior_scores
 from .metrics import (
-    AlignmentError,
-    ScoresFormatError,
     TrialScore,
     TrialSet,
     cavg,
@@ -46,7 +44,6 @@ from .metrics import (
 from .ndcore import Rng
 from .train import (
     ENCODER_LDE,
-    CheckpointError,
     Model,
     ModelConfig,
     NumericalError,
@@ -80,7 +77,11 @@ def _prepare_output(path, force: bool) -> None:
     if os.path.exists(path) and not force:
         raise UsageError(f"refusing to overwrite {path} (pass --force)")
     parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
+    try:
+        os.makedirs(parent, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise UsageError(f"cannot create directory {parent} for {path}: "
+                         f"part of that path is a regular file") from exc
 
 
 def _print_metrics(tag: str, trials: TrialSet) -> None:
@@ -379,12 +380,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (CorpusFormatError, CheckpointError, ScoresFormatError,
-            AlignmentError, FileNotFoundError, IsADirectoryError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # remaining pipeline complaints are shape/content problems
+    except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
+        # malformed corpora, checkpoints and scores files raise ValueError
+        # subclasses; remaining pipeline complaints are shape/content problems
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,14 +1,17 @@
 """Plain-text run configuration: bracketed sections of key = value lines.
 
-Every key has a default, unknown sections or keys are rejected, and the
-parsed configuration serializes back to a nested dict so checkpoints can
-echo the exact experiment settings.
+Each section is a field of `RunConfig`, and a section's keys are the
+fields of its dataclass, each converted by its annotation (int, float,
+str, or bool via `_to_bool`). Every key has a default, unknown sections
+or keys are rejected, and the parsed configuration serializes back to a
+nested dict so checkpoints can echo the exact experiment settings.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from typing import get_type_hints
 
 from .data import CropPolicy, SyntheticSpec
 from .encoding import (
@@ -158,46 +161,14 @@ def _to_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-# section -> key -> (attribute, converter); attribute names match the
-# dataclass fields so sections can be built generically
-_SCHEMA = {
-    "data": {
-        "num_classes": int, "feature_dim": int, "phones_per_class": int,
-        "min_len": int, "max_len": int, "noise_std": float,
-        "separation": float, "self_loop": float, "train_utterances": int,
-        "test_utterances": int, "bucketed_test": _to_bool, "seed": int,
-    },
-    "frontend": {
-        "enabled": _to_bool, "stages": str, "kernel": int, "activation": str,
-    },
-    "encoder": {
-        "model": str, "components": int, "smoothing": str, "beta": float,
-        "aggregation": str, "length_normalize": _to_bool,
-        "freeze_dictionary": _to_bool, "zero_dictionary": _to_bool,
-    },
-    "train": {
-        "lr0": float, "momentum": float, "weight_decay": float,
-        "epochs": int, "batch_size": int, "crop_min": int, "crop_max": int,
-        "smooth_window": int, "seed": int,
-    },
-    "gmm": {
-        "components": int, "iterations": int, "seed": int,
-        "use_sdc": _to_bool, "sdc_coeffs": int, "sdc_delta": int,
-        "sdc_shift": int, "sdc_blocks": int, "sdc_static": _to_bool,
-        "max_frames_per_class": int,
-    },
-    "paths": {
-        "train_corpus": str, "test_corpus": str, "checkpoint": str,
-        "loss_log": str, "scores": str, "gmm_checkpoint": str,
-        "gmm_scores": str,
-    },
-}
+# a key's converter follows its field's annotation
+_CONVERTERS = {int: int, float: float, str: str, bool: _to_bool}
 
-_BUILDERS = {
-    "data": SyntheticSpec, "frontend": FrontendSettings,
-    "encoder": EncoderSettings, "train": TrainSettings,
-    "gmm": GmmSettings, "paths": PathSettings,
-}
+
+def _fields(cls) -> dict:
+    """Field name -> resolved annotation of a dataclass, in declaration order."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
 
 
 def parse_config(text: str, origin: str = "<config>") -> RunConfig:
@@ -207,13 +178,14 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{origin}: {exc}") from exc
 
+    sections = _fields(RunConfig)
     overrides = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
-            known = ", ".join(sorted(_SCHEMA))
+        if section not in sections:
+            known = ", ".join(sorted(sections))
             raise ConfigError(f"{origin}: unknown section [{section}] "
                               f"(known: {known})")
-        keys = _SCHEMA[section]
+        keys = _fields(sections[section])
         values = {}
         for key, raw in parser.items(section):
             if key not in keys:
@@ -221,7 +193,7 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
                 raise ConfigError(f"{origin}: unknown key {key!r} in "
                                   f"[{section}] (known: {known})")
             try:
-                values[key] = keys[key](raw)
+                values[key] = _CONVERTERS[keys[key]](raw)
             except ValueError as exc:
                 raise ConfigError(
                     f"{origin}: bad value for {key!r} in [{section}]: "
@@ -229,7 +201,7 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
         overrides[section] = values
 
     built = {}
-    for section, builder in _BUILDERS.items():
+    for section, builder in sections.items():
         try:
             built[section] = builder(**overrides.get(section, {}))
         except (ValueError, ConfigError) as exc:
@@ -252,8 +224,4 @@ def load_config(path) -> RunConfig:
 
 def config_to_dict(rc: RunConfig) -> dict:
     """Typed nested dict of every setting, for checkpoint echo."""
-    out = {}
-    for section, keys in _SCHEMA.items():
-        holder = getattr(rc, section)
-        out[section] = {key: getattr(holder, key) for key in keys}
-    return out
+    return asdict(rc)

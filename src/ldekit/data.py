@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,9 +76,6 @@ class SyntheticSpec:
             raise ValueError("separation must be >= 0")
         if not 0.0 <= self.self_loop < 1.0:
             raise ValueError("self_loop must be in [0, 1)")
-
-    def class_names(self):
-        return [f"L{k}" for k in range(self.num_classes)]
 
 
 @dataclass

@@ -53,10 +53,6 @@ class GmmModel:
             raise ValueError("variances must be positive")
 
     @property
-    def num_components(self) -> int:
-        return self.means.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.means.shape[1]
 

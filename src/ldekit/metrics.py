@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ndcore import atomic_write, log_sum_exp_rows
+from .ndcore import atomic_write, cross_entropy
 
 
 class ScoresFormatError(ValueError):
@@ -229,14 +229,10 @@ def fuse(systems: list[TrialSet], fusion: FusionWeights) -> TrialSet:
 
 
 def _fusion_loss_grad(weights, tensor, labels):
-    logits = np.tensordot(weights, tensor, axes=(0, 0))
-    z = log_sum_exp_rows(logits)
-    n = logits.shape[0]
-    loss = float(np.mean(z - logits[np.arange(n), labels]))
-    post = np.exp(logits - z[:, None])
-    post[np.arange(n), labels] -= 1.0
-    grad_w = np.tensordot(tensor, post, axes=([1, 2], [0, 1])) / n
-    return loss, grad_w
+    losses, post = cross_entropy(np.tensordot(weights, tensor, axes=(0, 0)),
+                                 labels)
+    grad_w = np.tensordot(tensor, post, axes=([1, 2], [0, 1])) / len(labels)
+    return float(np.mean(losses)), grad_w
 
 
 def train_fusion(systems: list[TrialSet], iterations: int = 500,

@@ -70,6 +70,23 @@ def log_sum_exp_rows(m: np.ndarray) -> np.ndarray:
     return mx + np.log(np.exp(m - mx[..., None]).sum(axis=-1))
 
 
+def cross_entropy(logits: np.ndarray,
+                  labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Multiclass cross-entropy of each row of a (B, K) logit batch against
+    its label; returns the B losses and their gradients w.r.t. the logits
+    (softmax minus one-hot, B x K)."""
+    logits = np.asarray(logits, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    num, k = logits.shape
+    if labels.shape != (num,) or np.any((labels < 0) | (labels >= k)):
+        raise IndexError(f"need {num} labels in [0, {k}), got {labels}")
+    z = log_sum_exp_rows(logits)
+    grad = np.exp(logits - z[:, None])
+    rows = np.arange(num)
+    grad[rows, labels] -= 1.0
+    return z - logits[rows, labels], grad
+
+
 class Rng:
     """Seeded, splittable, counter-based random stream (Philox).
 
@@ -104,16 +121,6 @@ class Rng:
 
     def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
         return self._gen.choice(n, size=size, replace=replace)
-
-
-def rng_gaussian(rng: Rng, rows: int, cols: int, mean: float = 0.0,
-                 std: float = 1.0) -> np.ndarray:
-    """rows x cols matrix of N(mean, std^2) draws from `rng`."""
-    if std < 0:
-        raise ValueError(f"std must be >= 0, got {std}")
-    if std == 0:
-        return np.full((rows, cols), float(mean))
-    return rng.normal((rows, cols), mean=mean, std=std)
 
 
 @dataclass

@@ -18,7 +18,7 @@ import json
 import struct
 from collections import deque
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -26,8 +26,7 @@ from .data import CropPolicy, make_batches
 from .encoding import Dictionary, LdeConfig, lde_backward, lde_forward, tap_forward
 from .frontend import ConvSpec, Frontend, StageSpec
 from .gmm import GmmModel
-from .ndcore import (DimensionError, Param, Rng, atomic_write,
-                     log_sum_exp_rows, rng_gaussian)
+from .ndcore import DimensionError, Param, Rng, atomic_write, cross_entropy
 
 CKPT_MAGIC = b"LDEK"
 CKPT_VERSION = 1
@@ -44,23 +43,6 @@ class CheckpointError(ValueError):
     """Checkpoint file is malformed or inconsistent."""
 
 
-def cross_entropy(logits: np.ndarray,
-                  labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Multiclass cross-entropy of each row of a (B, K) logit batch against
-    its label; returns the B losses and their gradients w.r.t. the logits
-    (softmax minus one-hot, B x K)."""
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    num, k = logits.shape
-    if labels.shape != (num,) or np.any((labels < 0) | (labels >= k)):
-        raise IndexError(f"need {num} labels in [0, {k}), got {labels}")
-    z = log_sum_exp_rows(logits)
-    grad = np.exp(logits - z[:, None])
-    rows = np.arange(num)
-    grad[rows, labels] -= 1.0
-    return z - logits[rows, labels], grad
-
-
 class LinearClassifier:
     """Affine map from pooled embeddings to class logits."""
 
@@ -70,8 +52,7 @@ class LinearClassifier:
         if rng is None:
             w = np.zeros((num_classes, in_dim))
         else:
-            w = rng_gaussian(rng, num_classes, in_dim,
-                             std=1.0 / np.sqrt(in_dim))
+            w = rng.normal((num_classes, in_dim), std=1.0 / np.sqrt(in_dim))
         self.weights = Param("classifier.weights", w)
         self.bias = Param("classifier.bias", np.zeros((num_classes, 1)))
 
@@ -178,22 +159,12 @@ class ModelConfig:
 
 
 def model_config_to_dict(cfg: ModelConfig) -> dict:
-    d = {"in_dim": cfg.in_dim, "num_classes": cfg.num_classes,
-         "encoder": cfg.encoder, "freeze_dictionary": cfg.freeze_dictionary,
-         "zero_dictionary": cfg.zero_dictionary, "lde": None, "frontend": None}
-    if cfg.lde is not None:
-        d["lde"] = {"num_components": cfg.lde.num_components,
-                    "feature_dim": cfg.lde.feature_dim,
-                    "smoothing_mode": cfg.lde.smoothing_mode,
-                    "beta": cfg.lde.beta,
-                    "aggregation_mode": cfg.lde.aggregation_mode,
-                    "length_normalize": cfg.lde.length_normalize}
+    d = asdict(cfg)
+    # stages stay [channels, blocks, downsample] lists, the form that
+    # model_config_from_dict unpacks
     if cfg.frontend is not None:
-        d["frontend"] = {"in_dim": cfg.frontend.in_dim,
-                         "kernel": cfg.frontend.kernel,
-                         "activation": cfg.frontend.activation,
-                         "stages": [[s.channels, s.blocks, s.downsample]
-                                    for s in cfg.frontend.stages]}
+        d["frontend"]["stages"] = [[s.channels, s.blocks, s.downsample]
+                                   for s in cfg.frontend.stages]
     return d
 
 
@@ -471,7 +442,6 @@ def _unpack_gmms(blob: bytes) -> list[GmmModel]:
 
 @dataclass
 class Checkpoint:
-    version: int
     meta: dict
     params: dict[str, np.ndarray] | None = None
     gmms: list[GmmModel] | None = None
@@ -533,7 +503,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{path}: unknown section {tag!r}")
     if meta is None:
         raise CheckpointError(f"{path}: missing meta section")
-    return Checkpoint(version=version, meta=meta, params=params, gmms=gmms)
+    return Checkpoint(meta=meta, params=params, gmms=gmms)
 
 
 def save_model(path, model: Model, epoch: int | None = None,

@@ -3,18 +3,32 @@ import configparser
 import numpy as np
 import pytest
 
-from ldekit.cli import _print_bucket_metrics, fit_gmm_bank, main
-from ldekit.config import GmmSettings, load_config
+from ldekit import cli
+from ldekit.cli import UsageError, _print_bucket_metrics, fit_gmm_bank, main
+from ldekit.config import ConfigError, GmmSettings, load_config
 from ldekit.data import (
+    CorpusFormatError,
     SyntheticSpec,
     duration_bucket,
     generate_corpus,
     read_corpus,
     sdc,
 )
-from ldekit.metrics import TrialScore, TrialSet, read_scores
-from ldekit.ndcore import Rng
-from ldekit.train import Model, load_gmm_bank, load_model
+from ldekit.metrics import (
+    AlignmentError,
+    ScoresFormatError,
+    TrialScore,
+    TrialSet,
+    read_scores,
+)
+from ldekit.ndcore import DimensionError, Rng
+from ldekit.train import (
+    CheckpointError,
+    Model,
+    NumericalError,
+    load_gmm_bank,
+    load_model,
+)
 
 BASE = """
 [data]
@@ -100,6 +114,51 @@ def test_bad_config_key(tmp_path, capsys):
     config = write_config(tmp_path, extra="[train]\nturbo = on\n")
     assert main(["gen-data", "--config", config]) == 1
     assert "turbo" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc_type, code, prefix", [
+    (UsageError, 1, "usage error"),
+    (ConfigError, 1, "config error"),
+    (CorpusFormatError, 2, "data error"),
+    (CheckpointError, 2, "data error"),
+    (ScoresFormatError, 2, "data error"),
+    (AlignmentError, 2, "data error"),
+    (DimensionError, 2, "data error"),
+    (ValueError, 2, "data error"),
+    (FileNotFoundError, 2, "data error"),
+    (IsADirectoryError, 2, "data error"),
+    (NumericalError, 3, "numerical failure"),
+])
+def test_exit_code_contract(monkeypatch, capsys, exc_type, code, prefix):
+    """Each handled exception maps to its documented exit code and stderr
+    prefix: 1 usage/config, 2 data, 3 numerical."""
+    def failing(args):
+        raise exc_type("boom")
+    monkeypatch.setattr(cli, "cmd_train", failing)
+    assert main(["train", "--config", "any.ini"]) == code
+    assert capsys.readouterr().err == f"{prefix}: boom\n"
+
+
+@pytest.mark.parametrize("under", ["afile/model.ckpt", "afile/sub/model.ckpt"])
+def test_output_below_a_regular_file_is_usage_error(workspace, capsys, under):
+    tmp_path, _ = workspace
+    (tmp_path / "afile").write_text("not a directory\n")
+    target = tmp_path / under
+    config = write_config(tmp_path, extra=f"[paths]\ncheckpoint = {target}\n",
+                          name="blocked.ini")
+    assert main(["train", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and str(target) in err
+
+
+def test_gen_data_out_through_a_regular_file_is_usage_error(tmp_path, capsys):
+    config = write_config(tmp_path)
+    blocker = tmp_path / "afile"
+    blocker.write_text("not a directory\n")
+    assert main(["gen-data", "--config", config, "--out", str(blocker)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and str(blocker) in err
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_gen_data_writes_corpora(workspace):

@@ -1,7 +1,12 @@
+import configparser
+import io
+from dataclasses import fields
+
 import pytest
 
 from ldekit.config import (
     ConfigError,
+    RunConfig,
     config_to_dict,
     load_config,
     parse_config,
@@ -147,6 +152,26 @@ def test_config_to_dict_covers_everything():
     assert d["encoder"]["components"] == 4
     assert d["train"]["epochs"] == 30
     assert d["paths"]["scores"] == "runs/scores.txt"
+
+
+def test_config_to_dict_round_trips_through_ini_text():
+    rc = parse_config("[data]\nnoise_std = 0.25\nbucketed_test = no\n"
+                      "[frontend]\nstages = 8:2:flat,16:1:down\n"
+                      "[encoder]\nmodel = lde\nbeta = 2.5\n"
+                      "[train]\nweight_decay = 3e-05\n"
+                      "[gmm]\nuse_sdc = false\n"
+                      "[paths]\nscores = out/s.txt\n")
+    d = config_to_dict(rc)
+    # every field of every section is written back as a key
+    assert list(d) == [f.name for f in fields(RunConfig)]
+    for section, values in d.items():
+        assert list(values) == [f.name for f in fields(getattr(rc, section))]
+    cp = configparser.ConfigParser(interpolation=None)
+    for section, values in d.items():
+        cp[section] = {key: str(value) for key, value in values.items()}
+    text = io.StringIO()
+    cp.write(text)
+    assert parse_config(text.getvalue()) == rc
 
 
 def test_load_config_missing_file(tmp_path):

@@ -362,7 +362,7 @@ class TestGmmClassify:
             total = 0.0
             for t in range(9):
                 dens = 0.0
-                for c in range(m.num_components):
+                for c in range(m.means.shape[0]):
                     diff = x[:, t] - m.means[c]
                     quad = np.sum(diff ** 2 / m.variances[c])
                     norm = np.prod(2 * np.pi * m.variances[c]) ** -0.5

@@ -9,7 +9,6 @@ from ldekit.ndcore import (
     Rng,
     atomic_write,
     log_sum_exp_rows,
-    rng_gaussian,
     softmax_rows,
     sq_dists,
 )
@@ -80,8 +79,8 @@ class TestLogSumExpRows:
 
 class TestRng:
     def test_determinism_same_seed(self):
-        a = rng_gaussian(Rng(42), 4, 5)
-        b = rng_gaussian(Rng(42), 4, 5)
+        a = Rng(42).normal((4, 5))
+        b = Rng(42).normal((4, 5))
         assert np.array_equal(a, b)
 
     def test_split_streams_differ_and_are_stable(self):
@@ -97,16 +96,8 @@ class TestRng:
         assert np.array_equal(a.split(2).normal((4,)),
                               Rng(5).split(2).normal((4,)))
 
-    def test_zero_std_gives_mean(self):
-        out = rng_gaussian(Rng(1), 3, 2, mean=2.5, std=0.0)
-        assert np.array_equal(out, np.full((3, 2), 2.5))
-
-    def test_negative_std_rejected(self):
-        with pytest.raises(ValueError):
-            rng_gaussian(Rng(1), 2, 2, std=-1.0)
-
     def test_sample_moments_of_1e6_draws(self):
-        draws = rng_gaussian(Rng(123), 1000, 1000, mean=0.0, std=1.0)
+        draws = Rng(123).normal((1000, 1000), mean=0.0, std=1.0)
         assert abs(draws.mean()) <= 0.01
         assert 0.99 <= draws.std() <= 1.01
 
