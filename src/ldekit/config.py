@@ -95,6 +95,10 @@ class TrainSettings:
     smooth_window: int = 400
     seed: int = 0
 
+    def __post_init__(self):
+        if self.batch_size < 1 or self.smooth_window < 1:
+            raise ConfigError("batch_size and smooth_window must be >= 1")
+
     def sgd(self) -> SgdConfig:
         """The full-budget recipe compressed to the configured epochs."""
         try:
@@ -217,7 +221,7 @@ def load_config(path) -> RunConfig:
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text, origin=str(path))
 

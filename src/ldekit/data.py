@@ -294,7 +294,11 @@ def read_corpus(path) -> tuple[list[Utterance], int, int]:
             if fh.tell() + id_len + 12 > size:
                 raise CorpusFormatError(f"{path}: truncated record")
             record = fh.read(id_len + 12)
-            ident = record[:id_len].decode("utf-8")
+            try:
+                ident = record[:id_len].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorpusFormatError(f"{path}: utterance id is not UTF-8: "
+                                        f"{exc}") from exc
             label, length, dim = struct.unpack_from("<III", record, id_len)
             if dim != feature_dim:
                 raise CorpusFormatError(f"{path}: record dim {dim} != header "

@@ -296,9 +296,13 @@ def write_scores(path, trials: TrialSet) -> None:
 def read_scores(path) -> TrialSet:
     class_names = None
     trials = []
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
+            try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                raise ScoresFormatError(
+                    f"{path}:{lineno}: not UTF-8: {exc}") from exc
             if not line:
                 continue
             parts = line.split("\t")

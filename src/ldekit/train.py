@@ -7,9 +7,9 @@ cropping every batch to one shared random length. A batch runs forward
 and backward one slice of whole members at a time, each slice at most
 SLICE_FRAMES crop frames: the step is bound by memory traffic, not by
 FLOPs, and small slices keep each convolution's im2col patch matrix
-near cache size at every crop length (see `batch_loss`). Checkpoints are
-section-tagged little-endian binary files with a JSON meta block, so a
-reload reproduces the model bit for bit.
+near cache size at every crop length (see `batch_loss`). A checkpoint, of
+a model or of a mixture bank, is a little-endian binary file of a JSON
+meta block and named float64 parameters, so a reload is bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .ndcore import DimensionError, Param, Rng, atomic_write, cross_entropy
 
 CKPT_MAGIC = b"LDEK"
 CKPT_VERSION = 1
+CKPT_SECTIONS = (b"meta", b"params")  # every checkpoint holds both, in order
 
 ENCODER_TAP = "tap"
 ENCODER_LDE = "lde"
@@ -47,8 +48,6 @@ class LinearClassifier:
     """Affine map from pooled embeddings to class logits."""
 
     def __init__(self, num_classes: int, in_dim: int, rng: Rng | None):
-        if num_classes < 2:
-            raise ValueError("need at least 2 classes")
         if rng is None:
             w = np.zeros((num_classes, in_dim))
         else:
@@ -135,6 +134,8 @@ class ModelConfig:
     zero_dictionary: bool = False
 
     def __post_init__(self):
+        if self.in_dim < 1 or self.num_classes < 2:
+            raise ValueError("need in_dim >= 1 and at least 2 classes")
         if self.encoder not in (ENCODER_TAP, ENCODER_LDE):
             raise ValueError(f"unknown encoder {self.encoder!r}")
         if self.encoder == ENCODER_LDE and self.lde is None:
@@ -385,7 +386,7 @@ def _pack_params(params: list[Param]) -> bytes:
     return b"".join(out)
 
 
-def _unpack_params(blob: bytes) -> dict[str, np.ndarray]:
+def _unpack_params(blob: bytes, path) -> dict[str, np.ndarray]:
     try:
         (count,) = struct.unpack_from("<I", blob, 0)
         off = 4
@@ -405,59 +406,22 @@ def _unpack_params(blob: bytes) -> dict[str, np.ndarray]:
             off += n * 8
         return out
     except (struct.error, ValueError) as exc:
-        raise CheckpointError(f"corrupt parameter section: {exc}") from exc
-
-
-def _pack_gmms(gmms: list[GmmModel]) -> bytes:
-    out = [struct.pack("<I", len(gmms))]
-    for m in gmms:
-        comp, dim = m.means.shape
-        out.append(struct.pack("<II", comp, dim))
-        for arr in (m.weights.reshape(-1), m.means, m.variances):
-            out.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return b"".join(out)
-
-
-def _unpack_gmms(blob: bytes) -> list[GmmModel]:
-    try:
-        (count,) = struct.unpack_from("<I", blob, 0)
-        off = 4
-        models = []
-        for _ in range(count):
-            comp, dim = struct.unpack_from("<II", blob, off)
-            off += 8
-            w = np.frombuffer(blob, dtype="<f8", count=comp, offset=off).copy()
-            off += comp * 8
-            mu = np.frombuffer(blob, dtype="<f8", count=comp * dim,
-                               offset=off).reshape(comp, dim).copy()
-            off += comp * dim * 8
-            var = np.frombuffer(blob, dtype="<f8", count=comp * dim,
-                                offset=off).reshape(comp, dim).copy()
-            off += comp * dim * 8
-            models.append(GmmModel(weights=w, means=mu, variances=var))
-        return models
-    except (struct.error, ValueError) as exc:
-        raise CheckpointError(f"corrupt mixture section: {exc}") from exc
+        raise CheckpointError(f"{path}: corrupt parameters: {exc}") from exc
 
 
 @dataclass
 class Checkpoint:
     meta: dict
-    params: dict[str, np.ndarray] | None = None
-    gmms: list[GmmModel] | None = None
+    params: dict[str, np.ndarray]
 
 
-def save_checkpoint(path, meta: dict, params: list[Param] | None = None,
-                    gmms: list[GmmModel] | None = None) -> None:
-    sections = [(b"meta", json.dumps(meta, sort_keys=True).encode("utf-8"))]
-    if params is not None:
-        sections.append((b"params", _pack_params(params)))
-    if gmms is not None:
-        sections.append((b"gmm", _pack_gmms(gmms)))
+def save_checkpoint(path, meta: dict, params: list[Param]) -> None:
+    payloads = (json.dumps(meta, sort_keys=True).encode("utf-8"),
+                _pack_params(params))
     with atomic_write(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<II", CKPT_VERSION, len(sections)))
-        for tag, payload in sections:
+        fh.write(struct.pack("<II", CKPT_VERSION, len(CKPT_SECTIONS)))
+        for tag, payload in zip(CKPT_SECTIONS, payloads):
             fh.write(struct.pack("<I", len(tag)))
             fh.write(tag)
             fh.write(_pack_block(payload))
@@ -468,85 +432,109 @@ def load_checkpoint(path) -> Checkpoint:
         blob = fh.read()
     if blob[:4] != CKPT_MAGIC:
         raise CheckpointError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 12:
-        raise CheckpointError(f"{path}: truncated header")
-    version, num_sections = struct.unpack_from("<II", blob, 4)
-    if version != CKPT_VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
-    off = 12
-    meta, params, gmms = None, None, None
-    for _ in range(num_sections):
-        if off + 4 > len(blob):
-            raise CheckpointError(f"{path}: truncated section table")
-        (tag_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        tag = blob[off:off + tag_len]
-        off += tag_len
-        if off + 8 > len(blob):
-            raise CheckpointError(f"{path}: truncated section {tag!r}")
-        (payload_len,) = struct.unpack_from("<Q", blob, off)
-        off += 8
-        if off + payload_len > len(blob):
-            raise CheckpointError(f"{path}: truncated section {tag!r}")
-        payload = blob[off:off + payload_len]
-        off += payload_len
-        if tag == b"meta":
-            try:
-                meta = json.loads(payload.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise CheckpointError(f"{path}: corrupt meta: {exc}") from exc
-        elif tag == b"params":
-            params = _unpack_params(payload)
-        elif tag == b"gmm":
-            gmms = _unpack_gmms(payload)
-        else:
-            raise CheckpointError(f"{path}: unknown section {tag!r}")
-    if meta is None:
-        raise CheckpointError(f"{path}: missing meta section")
-    return Checkpoint(meta=meta, params=params, gmms=gmms)
+    try:
+        version, num_sections = struct.unpack_from("<II", blob, 4)
+        if version != CKPT_VERSION:
+            raise CheckpointError(f"{path}: unsupported version {version}")
+        if num_sections != len(CKPT_SECTIONS):
+            raise CheckpointError(f"{path}: {num_sections} sections, "
+                                  f"expected meta and params")
+        off, payloads = 12, []
+        for want in CKPT_SECTIONS:
+            (tag_len,) = struct.unpack_from("<I", blob, off)
+            tag = blob[off + 4:off + 4 + tag_len]
+            (size,) = struct.unpack_from("<Q", blob, off + 4 + tag_len)
+            if tag != want:
+                raise CheckpointError(
+                    f"{path}: section {tag!r} where {want!r} belongs")
+            off += 12 + tag_len
+            if off + size > len(blob):
+                raise CheckpointError(f"{path}: truncated section {tag!r}")
+            payloads.append(blob[off:off + size])
+            off += size
+    except struct.error as exc:
+        raise CheckpointError(f"{path}: truncated: {exc}") from exc
+    try:
+        meta = json.loads(payloads[0].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"{path}: corrupt meta: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: meta is not a JSON object")
+    return Checkpoint(meta=meta, params=_unpack_params(payloads[1], path))
+
+
+def _checked_params(path, kind: str, expect) -> Checkpoint:
+    """Loads a checkpoint of `kind` whose parameters are exactly the names
+    and shapes that `expect(checkpoint)` maps them to (a None size matches
+    any); anything else raises CheckpointError."""
+    ckpt = load_checkpoint(path)
+    if ckpt.meta.get("kind") != kind:
+        raise CheckpointError(f"{path}: not a {kind} checkpoint")
+    shapes = expect(ckpt)
+    if set(shapes) != set(ckpt.params):
+        missing = sorted(set(shapes) - set(ckpt.params))
+        extra = sorted(set(ckpt.params) - set(shapes))
+        raise CheckpointError(
+            f"{path}: parameter names do not match the meta "
+            f"(missing {missing}, unexpected {extra})")
+    for name, shape in shapes.items():
+        got = ckpt.params[name].shape
+        if len(got) != len(shape) or any(s not in (None, g)
+                                         for s, g in zip(shape, got)):
+            raise CheckpointError(
+                f"{path}: {name} has shape {got}, expected {shape}")
+    return ckpt
 
 
 def save_model(path, model: Model, epoch: int | None = None,
                extra_meta: dict | None = None) -> None:
     meta = {"kind": "model", "config": model_config_to_dict(model.cfg),
-            "epoch": epoch}
-    if extra_meta:
-        meta.update(extra_meta)
+            "epoch": epoch, **(extra_meta or {})}
     save_checkpoint(path, meta, params=model.params())
 
 
 def load_model(path) -> tuple[Model, dict]:
-    ckpt = load_checkpoint(path)
-    if ckpt.meta.get("kind") != "model" or ckpt.params is None:
-        raise CheckpointError(f"{path}: not a model checkpoint")
-    cfg = model_config_from_dict(ckpt.meta.get("config", {}))
-    model = Model(cfg, Rng(0))
-    expected = {p.name for p in model.params()}
-    if expected != set(ckpt.params):
-        missing = sorted(expected - set(ckpt.params))
-        extra = sorted(set(ckpt.params) - expected)
-        raise CheckpointError(
-            f"{path}: parameter names do not match the config "
-            f"(missing {missing}, unexpected {extra})")
+    model = None
+
+    def expect(ckpt):
+        nonlocal model
+        cfg = model_config_from_dict(ckpt.meta.get("config", {}))
+        model = Model(cfg, Rng(0))
+        return {p.name: p.value.shape for p in model.params()}
+
+    ckpt = _checked_params(path, "model", expect)
     for p in model.params():
-        saved = ckpt.params[p.name]
-        if saved.shape != p.value.shape:
-            raise CheckpointError(
-                f"{path}: {p.name} has shape {saved.shape}, "
-                f"expected {p.value.shape}")
-        p.value[...] = saved
+        p.value[...] = ckpt.params[p.name]
     return model, ckpt.meta
 
 
+# a bank stores class k's mixture as gmm.{k}.<part>, each part of this rank
+_BANK_PARTS = {"weights": (None,), "means": (None, None),
+               "variances": (None, None)}
+
+
 def save_gmm_bank(path, gmms: list[GmmModel], meta: dict | None = None) -> None:
-    full = {"kind": "gmm"}
-    if meta:
-        full.update(meta)
-    save_checkpoint(path, full, gmms=gmms)
+    full = {**(meta or {}), "kind": "gmm", "num_classes": len(gmms)}
+    save_checkpoint(path, full, [Param(f"gmm.{k}.{part}", getattr(m, part))
+                                 for k, m in enumerate(gmms)
+                                 for part in _BANK_PARTS])
 
 
 def load_gmm_bank(path) -> tuple[list[GmmModel], dict]:
-    ckpt = load_checkpoint(path)
-    if ckpt.meta.get("kind") != "gmm" or ckpt.gmms is None:
-        raise CheckpointError(f"{path}: not a mixture checkpoint")
-    return ckpt.gmms, ckpt.meta
+    def expect(ckpt):
+        count = ckpt.meta.get("num_classes")
+        if (type(count) is not int
+                or len(_BANK_PARTS) * count != len(ckpt.params)):
+            raise CheckpointError(f"{path}: class count {count!r} does not fit "
+                                  f"{len(ckpt.params)} parameters")
+        return {f"gmm.{k}.{part}": shape for k in range(count)
+                for part, shape in _BANK_PARTS.items()}
+
+    ckpt = _checked_params(path, "gmm", expect)
+    try:
+        bank = [GmmModel(**{part: ckpt.params[f"gmm.{k}.{part}"]
+                            for part in _BANK_PARTS})
+                for k in range(ckpt.meta["num_classes"])]
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: bad mixture: {exc}") from exc
+    return bank, ckpt.meta

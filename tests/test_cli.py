@@ -110,10 +110,29 @@ def test_missing_config_file(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_config_not_utf8_is_config_error(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_bytes(b"[train]\nepochs = 2\n# caf\xe9\n")
+    assert main(["gen-data", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config {config}: ")
+
+
 def test_bad_config_key(tmp_path, capsys):
     config = write_config(tmp_path, extra="[train]\nturbo = on\n")
     assert main(["gen-data", "--config", config]) == 1
     assert "turbo" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", ["smooth_window = -1",
+                                     "smooth_window = 0", "batch_size = 0"])
+def test_train_non_positive_size_is_config_error(workspace, capsys, setting):
+    tmp_path, _ = workspace
+    config = write_config(tmp_path, extra=f"[train]\n{setting}\n",
+                          name="bad.ini")
+    assert main(["train", "--config", config]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "runs" / "model.ckpt").exists()
 
 
 @pytest.mark.parametrize("exc_type, code, prefix", [

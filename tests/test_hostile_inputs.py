@@ -1,0 +1,146 @@
+"""Every file format ldekit reads, fed truncated and byte-flipped copies of
+a small valid file: each copy either loads or raises its format's typed
+error, and the CLI turns that error into exit code 2."""
+
+import numpy as np
+import pytest
+
+from ldekit.cli import main
+from ldekit.data import CorpusFormatError, Utterance, read_corpus, write_corpus
+from ldekit.gmm import GmmModel
+from ldekit.metrics import (
+    ScoresFormatError,
+    TrialScore,
+    TrialSet,
+    read_scores,
+    write_scores,
+)
+from ldekit.ndcore import Rng
+from ldekit.train import (
+    CheckpointError,
+    Model,
+    ModelConfig,
+    load_gmm_bank,
+    load_model,
+    save_gmm_bank,
+    save_model,
+)
+
+FLIPS = 400
+
+
+def write_model(path):
+    save_model(path, Model(ModelConfig(in_dim=2, num_classes=2), Rng(0)),
+               epoch=1)
+
+
+def write_bank(path):
+    save_gmm_bank(path, [GmmModel(weights=np.array([0.25, 0.75]),
+                                  means=np.array([[0.0, 1.0], [2.0, -1.0]]),
+                                  variances=np.array([[1.0, 2.0], [0.5, 1.5]])),
+                         GmmModel(weights=np.array([1.0]),
+                                  means=np.array([[3.0, 3.0]]),
+                                  variances=np.array([[1.0, 1.0]]))])
+
+
+def write_small_corpus(path):
+    rng = Rng(1)
+    write_corpus(path, [Utterance(f"u{i}#short", i % 2, rng.normal((2, 3 + i)))
+                        for i in range(3)], num_classes=2, feature_dim=2)
+
+
+def write_small_scores(path):
+    write_scores(path, TrialSet(["L0", "L1"], [
+        TrialScore("u0#short", 0, np.array([-0.25, -1.5])),
+        TrialScore("u1#long", 1, np.array([-2.0, -0.125]))]))
+
+
+FORMATS = {
+    "model": (write_model, load_model, CheckpointError),
+    "bank": (write_bank, load_gmm_bank, CheckpointError),
+    "corpus": (write_small_corpus, read_corpus, CorpusFormatError),
+    "scores": (write_small_scores, read_scores, ScoresFormatError),
+}
+
+
+def hostile_copies(blob: bytes, rng: Rng):
+    """Every proper prefix, then FLIPS copies with one byte XOR-ed by a
+    random non-zero mask at a random position."""
+    for size in range(len(blob)):
+        yield f"prefix of {size} bytes", blob[:size]
+    for _ in range(FLIPS):
+        pos, mask = rng.integers(0, len(blob) - 1), rng.integers(1, 255)
+        flipped = bytearray(blob)
+        flipped[pos] ^= mask
+        yield f"byte {pos} ^ {mask:#04x}", bytes(flipped)
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_hostile_copies_load_or_raise_the_typed_error(tmp_path, fmt):
+    write, load, error = FORMATS[fmt]
+    valid = tmp_path / f"valid.{fmt}"
+    write(valid)
+    load(valid)
+    path = tmp_path / f"hostile.{fmt}"
+    escapes = []
+    rng = Rng(12).split(sorted(FORMATS).index(fmt))
+    for case, blob in hostile_copies(valid.read_bytes(), rng):
+        path.write_bytes(blob)
+        try:
+            load(path)
+        except error:
+            pass
+        except Exception as exc:  # anything untyped is a finding
+            escapes.append(f"{case}: {type(exc).__name__}: {exc}")
+    assert escapes == []
+
+
+@pytest.fixture
+def small_files(tmp_path):
+    write_model(tmp_path / "model.ckpt")
+    write_small_corpus(tmp_path / "test.bin")
+    write_small_scores(tmp_path / "scores.txt")
+    return tmp_path
+
+
+def corrupt(path, pos, byte):
+    blob = bytearray(path.read_bytes())
+    blob[pos] = byte
+    path.write_bytes(bytes(blob))
+
+
+def test_cli_truncated_checkpoint_exits_2(small_files, capsys):
+    ckpt = small_files / "model.ckpt"
+    ckpt.write_bytes(ckpt.read_bytes()[:-5])
+    assert main(["eval", "--checkpoint", str(ckpt),
+                 "--corpus", str(small_files / "test.bin"),
+                 "--scores", str(small_files / "out.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(ckpt) in err
+    assert not (small_files / "out.txt").exists()
+
+
+def test_cli_corpus_id_not_utf8_exits_2(small_files, capsys):
+    corpus = small_files / "test.bin"
+    corrupt(corpus, 16 + 4, 0xD2)  # first byte of the first utterance id
+    config = small_files / "run.ini"
+    config.write_text(
+        f"[gmm]\ncomponents = 1\niterations = 1\nuse_sdc = false\n"
+        f"[paths]\ntrain_corpus = {corpus}\ntest_corpus = {corpus}\n"
+        f"gmm_checkpoint = {small_files}/gmm.ckpt\n"
+        f"gmm_scores = {small_files}/gmm_scores.txt\n")
+    assert main(["gmm", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(corpus) in err
+    assert "not UTF-8" in err
+
+
+def test_cli_scores_not_utf8_exits_2(small_files, capsys):
+    scores = small_files / "scores.txt"
+    second_line = scores.read_bytes().index(b"\n") + 1
+    corrupt(scores, second_line + 1, 0xFF)
+    assert main(["fuse", "--train-scores", str(scores), "--scores",
+                 str(scores), "--out", str(small_files / "fused.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {scores}:2: not UTF-8")
+    assert not (small_files / "fused.txt").exists()

@@ -1,4 +1,5 @@
 import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -627,3 +628,86 @@ class TestCheckpoints:
                         params=params)
         with pytest.raises(CheckpointError, match="missing"):
             load_model(path)
+
+    @pytest.mark.parametrize("key, value", [("num_classes", 1),
+                                            ("in_dim", -2)])
+    def test_config_that_builds_no_model_rejected(self, tmp_path, key, value):
+        model = Model(ModelConfig(in_dim=2, num_classes=2), Rng(0))
+        config = model_config_to_dict(model.cfg)
+        config[key] = value
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"kind": "model", "config": config},
+                        model.params())
+        with pytest.raises(CheckpointError, match="bad model config"):
+            load_model(path)
+
+    @staticmethod
+    def bank_params(count, **override):
+        """Class k's one-component, 2-dim mixture as gmm.{k}.* parameters;
+        `override` replaces parts of class 0 by part name."""
+        parts = {"weights": np.array([1.0]), "means": np.zeros((1, 2)),
+                 "variances": np.ones((1, 2))}
+        return [Param(f"gmm.{k}.{part}",
+                      override.get(part, value) if k == 0 else value)
+                for k in range(count) for part, value in parts.items()]
+
+    def test_bank_class_count_disagreeing_rejected(self, tmp_path):
+        path = tmp_path / "bank.ckpt"
+        save_checkpoint(path, {"kind": "gmm", "num_classes": 3},
+                        self.bank_params(2))
+        with pytest.raises(CheckpointError, match="class count 3"):
+            load_gmm_bank(path)
+
+    def test_bank_parameter_names_disagreeing_rejected(self, tmp_path):
+        params = self.bank_params(2)
+        params[1].name = "gmm.0.mean"
+        path = tmp_path / "bank.ckpt"
+        save_checkpoint(path, {"kind": "gmm", "num_classes": 2}, params)
+        with pytest.raises(CheckpointError,
+                           match=r"missing \['gmm.0.means'\], "
+                                 r"unexpected \['gmm.0.mean'\]"):
+            load_gmm_bank(path)
+
+    @pytest.mark.parametrize("override, message", [
+        ({"weights": np.array([0.9])}, "sum to 1"),
+        ({"variances": np.array([[1.0, 0.0]])}, "positive"),
+        ({"variances": np.ones((1, 3))}, "equal shapes"),
+        ({"weights": np.array([0.5, 0.5])}, "one weight per component"),
+        ({"means": np.zeros(2)}, r"gmm.0.means has shape \(2,\)"),
+    ])
+    def test_bank_failing_mixture_validation_rejected(self, tmp_path,
+                                                      override, message):
+        path = tmp_path / "bank.ckpt"
+        save_checkpoint(path, {"kind": "gmm", "num_classes": 2},
+                        self.bank_params(2, **override))
+        with pytest.raises(CheckpointError, match=message):
+            load_gmm_bank(path)
+
+    def test_bank_in_the_former_mixture_section_rejected(self, tmp_path):
+        # the earlier bank layout: a meta section, then a "gmm" section of
+        # class count, then per class (C, D) and its float64 arrays
+        sections = [(b"meta", b'{"kind": "gmm"}'),
+                    (b"gmm", struct.pack("<III", 1, 1, 2)
+                     + np.array([1.0, 0.0, 0.0, 1.0, 1.0]).tobytes())]
+        blob = b"LDEK" + struct.pack("<II", 1, len(sections))
+        for tag, payload in sections:
+            blob += struct.pack("<I", len(tag)) + tag
+            blob += struct.pack("<Q", len(payload)) + payload
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(CheckpointError, match="section b'gmm'"):
+            load_gmm_bank(path)
+
+    def test_checkpoint_without_params_section_rejected(self, tmp_path):
+        meta = b'{"kind": "model"}'
+        path = tmp_path / "meta_only.ckpt"
+        path.write_bytes(b"LDEK" + struct.pack("<III", 1, 1, len(b"meta"))
+                         + b"meta" + struct.pack("<Q", len(meta)) + meta)
+        with pytest.raises(CheckpointError, match="1 sections"):
+            load_checkpoint(path)
+
+    def test_bank_loader_rejects_a_model(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_model(path, self.build_model())
+        with pytest.raises(CheckpointError, match="not a gmm checkpoint"):
+            load_gmm_bank(path)
