@@ -25,6 +25,7 @@ from .data import (
     generate_corpus,
     read_corpus,
     sdc,
+    sdc_shape,
     write_corpus,
 )
 from .encoding import LdeConfig
@@ -239,15 +240,43 @@ def cmd_fuse(args) -> int:
     return 0
 
 
-def _gmm_features(utt: Utterance, g) -> np.ndarray:
+def _gmm_features(utt: Utterance, g, shape_only: bool = False):
+    """The utterance's mixture features (D' x L'): its SDC features under
+    the [gmm] settings, or its raw features when use_sdc is off. With
+    `shape_only`, just their (D', L'), from the lengths alone."""
     if not g.use_sdc:
-        return utt.features
+        return utt.features.shape if shape_only else utt.features
+    spec = dict(n_coeffs=g.sdc_coeffs, delta=g.sdc_delta, shift=g.sdc_shift,
+                blocks=g.sdc_blocks, append_static=g.sdc_static)
     try:
-        return sdc(utt.features, n_coeffs=g.sdc_coeffs, delta=g.sdc_delta,
-                   shift=g.sdc_shift, blocks=g.sdc_blocks,
-                   append_static=g.sdc_static)
+        return (sdc_shape(utt.features.shape, **spec) if shape_only
+                else sdc(utt.features, **spec))
     except ValueError as exc:
         raise CorpusFormatError(f"utterance {utt.id}: {exc}") from exc
+
+
+def _pooled_class_frames(utts: list[Utterance], g) -> np.ndarray:
+    """One class's mixture features as one contiguous N x D array, thinned
+    by an even stride to at most `max_frames_per_class` rows: row i of the
+    class's features in corpus order is kept when i is a multiple of the
+    stride. The array is sized from the utterance lengths and filled one
+    utterance at a time, so only the kept rows are ever held together."""
+    shapes = [_gmm_features(u, g, shape_only=True) for u in utts]
+    total = sum(length for _, length in shapes)
+    stride = 1
+    if 0 < g.max_frames_per_class < total:
+        stride = -(-total // g.max_frames_per_class)
+    frames = np.empty((-(-total // stride), shapes[0][0]))
+    # the pool's next free row, and the class-wide index of the next
+    # utterance's first frame
+    row = start = 0
+    for u, (_, length) in zip(utts, shapes):
+        first = -start % stride
+        kept = len(range(first, length, stride))
+        frames[row:row + kept] = _gmm_features(u, g)[:, first::stride].T
+        row += kept
+        start += length
+    return frames
 
 
 def fit_gmm_bank(utts: list[Utterance], num_classes: int, g
@@ -255,18 +284,16 @@ def fit_gmm_bank(utts: list[Utterance], num_classes: int, g
     """Per-class EM mixtures on pooled features, thinned by an even stride
     to `max_frames_per_class`; returns the models, their log-likelihood
     histories and the frame counts they were fit on. One class at a time,
-    in corpus order: only its thinned, contiguous frames live in its fit."""
+    in corpus order: each class's kept frames are pooled straight into one
+    preallocated array (`_pooled_class_frames`), which is all of its
+    features that its fit holds."""
     rng = Rng(g.seed)
     models, histories, counts = [], [], []
     for k in range(num_classes):
-        pooled = [_gmm_features(u, g).T for u in utts if u.label == k]
-        if not pooled:
+        members = [u for u in utts if u.label == k]
+        if not members:
             raise CorpusFormatError(f"no training utterances for class L{k}")
-        frames = np.concatenate(pooled, axis=0)
-        del pooled
-        if 0 < g.max_frames_per_class < frames.shape[0]:
-            stride = -(-frames.shape[0] // g.max_frames_per_class)
-            frames = frames[::stride].copy()
+        frames = _pooled_class_frames(members, g)
         model, history = em_fit(frames, g.components, g.iterations,
                                 rng.split(k))
         models.append(model)
@@ -286,25 +313,31 @@ def score_gmm_bank(models: list[GmmModel], utts: list[Utterance],
 
 
 def cmd_gmm(args) -> int:
+    """Fits the bank on the train corpus, drops it, then reads and scores
+    the test corpus, so the two corpora are never held together. A test
+    corpus that fails to read, disagrees with the train corpus's header or
+    holds an utterance its features cannot take stops the command before
+    any artifact is written."""
     rc = load_config(args.config)
     _require_file(rc.paths.train_corpus, "train corpus")
     _require_file(rc.paths.test_corpus, "test corpus")
     _prepare_output(rc.paths.gmm_checkpoint, args.force)
     _prepare_output(rc.paths.gmm_scores, args.force)
     train, num_classes, in_dim = read_corpus(rc.paths.train_corpus)
+    g = rc.gmm
+    models, histories, counts = fit_gmm_bank(train, num_classes, g)
+    del train
+    for k, (history, count) in enumerate(zip(histories, counts)):
+        print(f"class L{k}: {g.components} components on "
+              f"{count} frames, final avg ll {history[-1] / count:.5f}")
     test, k2, d2 = read_corpus(rc.paths.test_corpus)
     if (k2, d2) != (num_classes, in_dim):
         raise CorpusFormatError(
             f"{rc.paths.test_corpus}: header ({k2} classes, dim {d2}) does "
             f"not match the train corpus ({num_classes}, dim {in_dim})")
-    g = rc.gmm
-    models, histories, counts = fit_gmm_bank(train, num_classes, g)
-    for k, (history, count) in enumerate(zip(histories, counts)):
-        print(f"class L{k}: {g.components} components on "
-              f"{count} frames, final avg ll {history[-1] / count:.5f}")
+    tset = score_gmm_bank(models, test, num_classes, g)
     save_gmm_bank(rc.paths.gmm_checkpoint, models,
                   meta={"run_config": config_to_dict(rc)})
-    tset = score_gmm_bank(models, test, num_classes, g)
     write_scores(rc.paths.gmm_scores, tset)
     print(f"bank: {rc.paths.gmm_checkpoint}")
     print(f"scores: {rc.paths.gmm_scores}")

@@ -133,6 +133,10 @@ class GmmSettings:
             raise ConfigError("components and iterations must be >= 1")
         if self.max_frames_per_class < 0:
             raise ConfigError("max_frames_per_class must be >= 0")
+        if (self.sdc_coeffs < 1 or self.sdc_blocks < 1
+                or self.sdc_delta < 0 or self.sdc_shift < 0):
+            raise ConfigError("sdc_coeffs and sdc_blocks must be >= 1, "
+                              "sdc_delta and sdc_shift >= 0")
 
 
 @dataclass

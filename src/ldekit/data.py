@@ -195,6 +195,23 @@ def crop_or_extend(utt: Utterance, target_len: int, rng: Rng) -> np.ndarray:
     return np.tile(feats, (1, reps))[:, :target_len]
 
 
+def sdc_shape(shape: tuple[int, int], n_coeffs: int = 7, delta: int = 1,
+              shift: int = 3, blocks: int = 7,
+              append_static: bool = True) -> tuple[int, int]:
+    """The (dims, frames) of `sdc`'s output for a D x L input of `shape`,
+    without computing it. Raises DimensionError when D < N and ValueError
+    when L is too short for one output frame."""
+    dim, length = shape
+    if dim < n_coeffs:
+        raise DimensionError(f"need at least {n_coeffs} feature dims, got {dim}")
+    span = 2 * delta + (blocks - 1) * shift
+    if length <= span:
+        raise ValueError(f"sequence of {length} frames too short for "
+                         f"{n_coeffs}-{delta}-{shift}-{blocks} deltas "
+                         f"(needs at least {span + 1})")
+    return (blocks + append_static) * n_coeffs, length - span
+
+
 def sdc(x: np.ndarray, n_coeffs: int = 7, delta: int = 1, shift: int = 3,
         blocks: int = 7, append_static: bool = True) -> np.ndarray:
     """Shifted delta coefficients, parameterized N-d-P-k.
@@ -202,31 +219,22 @@ def sdc(x: np.ndarray, n_coeffs: int = 7, delta: int = 1, shift: int = 3,
     Output frame t stacks, for i in [0, k), the deltas
     x[:N, t + i*P + d] - x[:N, t + i*P - d]; with append_static the N
     static coefficients x[:N, t] are appended, giving the conventional
-    56-dim output for 7-1-3-7.
+    56-dim output for 7-1-3-7. Output frame 0 is input frame d.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionError(f"expected a D x L sequence, got {x.shape}")
-    dim, length = x.shape
-    if dim < n_coeffs:
-        raise DimensionError(f"need at least {n_coeffs} feature dims, got {dim}")
-    min_len = 2 * delta + (blocks - 1) * shift + 1
-    if length < min_len:
-        raise ValueError(f"sequence of {length} frames too short for "
-                         f"{n_coeffs}-{delta}-{shift}-{blocks} deltas "
-                         f"(needs at least {min_len})")
-    first = delta
-    last = length - 1 - ((blocks - 1) * shift + delta)
-    out_len = last - first + 1
-    parts = []
+    out = np.empty(sdc_shape(x.shape, n_coeffs, delta, shift, blocks,
+                             append_static))
+    out_len = out.shape[1]
     for i in range(blocks):
         off = i * shift
-        plus = x[:n_coeffs, first + off + delta:first + off + delta + out_len]
-        minus = x[:n_coeffs, first + off - delta:first + off - delta + out_len]
-        parts.append(plus - minus)
+        np.subtract(x[:n_coeffs, off + 2 * delta:off + 2 * delta + out_len],
+                    x[:n_coeffs, off:off + out_len],
+                    out=out[i * n_coeffs:(i + 1) * n_coeffs])
     if append_static:
-        parts.append(x[:n_coeffs, first:first + out_len])
-    return np.vstack(parts)
+        out[blocks * n_coeffs:] = x[:n_coeffs, delta:delta + out_len]
+    return out
 
 
 def make_batches(utts: list[Utterance], batch_size: int, policy: CropPolicy,

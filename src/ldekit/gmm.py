@@ -22,6 +22,7 @@ from .ndcore import (
     log_sum_exp_rows,
     softmax_rows,
     sq_dists,
+    sq_norms,
 )
 
 log = logging.getLogger(__name__)
@@ -49,6 +50,9 @@ class GmmModel:
             raise DimensionError("one weight per component required")
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("mixture weights must sum to 1")
+        if not all(np.isfinite(a).all()
+                   for a in (self.weights, self.means, self.variances)):
+            raise ValueError("mixture parameters must be finite")
         if np.any(self.variances <= 0):
             raise ValueError("variances must be positive")
 
@@ -75,14 +79,18 @@ def _check_sequence(model: GmmModel, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def log_densities(model: GmmModel, frames: np.ndarray) -> np.ndarray:
+def log_densities(model: GmmModel, frames: np.ndarray,
+                  frames_sq: np.ndarray | None = None) -> np.ndarray:
     """Per-frame, per-component log of weight * diagonal Gaussian density.
 
-    frames: L x D. Returns L x C.
+    frames: L x D, and `frames ** 2` when the caller holds it (it is
+    squared here otherwise). Returns L x C.
     """
     log_norm = -0.5 * (model.dim * np.log(2.0 * np.pi)
                        + np.log(model.variances).sum(axis=1))
-    mahal = sq_dists(frames, model.means, 1.0 / model.variances)
+    inv_var = 1.0 / model.variances
+    norms = None if frames_sq is None else sq_norms(frames_sq, inv_var)
+    mahal = sq_dists(frames, model.means, inv_var, norms)
     return np.log(model.weights)[None, :] + log_norm[None, :] - 0.5 * mahal
 
 
@@ -107,28 +115,33 @@ def accumulate_stats(model: GmmModel, x: np.ndarray) -> BaumWelchStats:
     return BaumWelchStats(n=n, f=f)
 
 
-def total_log_likelihood(model: GmmModel, frames: np.ndarray) -> float:
-    return float(log_sum_exp_rows(log_densities(model, frames)).sum())
+def total_log_likelihood(model: GmmModel, frames: np.ndarray,
+                         frames_sq: np.ndarray | None = None) -> float:
+    return float(log_sum_exp_rows(
+        log_densities(model, frames, frames_sq)).sum())
 
 
 def _kmeans(frames: np.ndarray, num_components: int, iters: int,
-            rng: Rng) -> np.ndarray:
-    """Plain Lloyd iterations from seeded distinct-frame init."""
+            rng: Rng, norms: np.ndarray | None = None) -> np.ndarray:
+    """Plain Lloyd iterations from seeded distinct-frame init. `norms` is
+    the unweighted ||x||^2 term of `sq_dists` for these frames, the same
+    in every iteration; without it each iteration squares the frames."""
     n = frames.shape[0]
     centers = frames[rng.choice(n, num_components, replace=False)].copy()
     for _ in range(iters):
-        d2 = sq_dists(frames, centers)
+        d2 = sq_dists(frames, centers, norms=norms)
         assign = np.argmin(d2, axis=1)
-        # one stable sort puts each cluster's members in a contiguous run of
-        # rows, in frame order
-        grouped = frames[np.argsort(assign, kind="stable")]
+        # one stable sort lists each cluster's members in a contiguous run,
+        # in frame order; gathering one cluster at a time keeps no second
+        # copy of all the frames
+        order = np.argsort(assign, kind="stable")
         ends = np.cumsum(np.bincount(assign, minlength=num_components))
-        for c, members in enumerate(np.split(grouped, ends[:-1])):
+        for c, members in enumerate(np.split(order, ends[:-1])):
             if len(members) == 0:
                 # re-seed an empty cluster at the point farthest from its center
                 centers[c] = frames[np.argmax(d2[:, c])]
             else:
-                centers[c] = members.mean(axis=0)
+                centers[c] = frames[members].mean(axis=0)
     return centers
 
 
@@ -139,7 +152,9 @@ def em_fit(frames: np.ndarray, num_components: int, iters: int,
     that iteration's update, so the sequence is non-decreasing).
 
     `frames` is made C-contiguous on entry (free when it already is), so
-    every product runs on contiguous rows.
+    every product runs on contiguous rows. The frames are squared once per
+    fit: k-means and the first assignment share one unweighted ||x||^2
+    term, and every E-step and M-step reads the same `frames ** 2`.
 
     Init is 10 seeded k-means iterations; variances then come from
     cluster scatter and weights from cluster sizes. Components that lose
@@ -157,8 +172,11 @@ def em_fit(frames: np.ndarray, num_components: int, iters: int,
     global_var = frames.var(axis=0)
     var_floor = np.maximum(VAR_FLOOR_FRACTION * global_var, 1e-12)
 
-    centers = _kmeans(frames, num_components, 10, rng)
-    assign = np.argmin(sq_dists(frames, centers), axis=1)
+    frames_sq = frames ** 2
+    norms = sq_norms(frames_sq, np.ones((num_components, dim)))
+    centers = _kmeans(frames, num_components, 10, rng, norms)
+    assign = np.argmin(sq_dists(frames, centers, norms=norms), axis=1)
+    del norms
     counts = np.bincount(assign, minlength=num_components).astype(np.float64)
     counts = np.maximum(counts, 1.0)
     weights = counts / counts.sum()
@@ -167,13 +185,13 @@ def em_fit(frames: np.ndarray, num_components: int, iters: int,
         members = frames[assign == c]
         scatter = members.var(axis=0) if len(members) > 1 else global_var
         variances[c] = np.maximum(scatter, var_floor)
+    del assign, members
     model = GmmModel(weights=weights, means=centers, variances=variances)
 
-    frames_sq = frames ** 2
     ll_history = []
     for it in range(iters):
         # one max shift and exp give both log_sum_exp_rows and softmax_rows
-        post = log_densities(model, frames)
+        post = log_densities(model, frames, frames_sq)
         top = post.max(axis=1)
         post -= top[:, None]
         np.exp(post, out=post)
@@ -193,26 +211,29 @@ def em_fit(frames: np.ndarray, num_components: int, iters: int,
                 model.variances[c] = model.variances[donor].copy()
                 n[c] = EMPTY_COMPONENT_FLOOR
             # recompute responsibilities against the repaired model
-            post = softmax_rows(log_densities(model, frames))
+            post = softmax_rows(log_densities(model, frames, frames_sq))
             n = np.maximum(post.sum(axis=0), EMPTY_COMPONENT_FLOOR)
 
         weights = n / n.sum()
         means = (post.T @ frames) / n[:, None]
         sq = (post.T @ frames_sq) / n[:, None]
+        del post  # freed before the next E-step builds its own
         variances = np.maximum(sq - means ** 2, var_floor)
         model = GmmModel(weights=weights, means=means, variances=variances)
     return model, ll_history
 
 
 def gmm_classify(models: list[GmmModel], x: np.ndarray) -> np.ndarray:
-    """Average per-frame log-likelihood of the sequence under each model."""
+    """Average per-frame log-likelihood of the sequence under each model;
+    the frames are squared once for all of them."""
     dims = {m.dim for m in models}
     if len(dims) != 1:
         raise DimensionError("all models must share the feature dimension")
     x = _check_sequence(models[0], x)
     frames = x.T
-    return np.array([total_log_likelihood(m, frames) / frames.shape[0]
-                     for m in models])
+    frames_sq = frames ** 2
+    return np.array([total_log_likelihood(m, frames, frames_sq)
+                     / frames.shape[0] for m in models])
 
 
 def log_posterior_scores(scores: np.ndarray) -> np.ndarray:

@@ -466,7 +466,7 @@ def load_checkpoint(path) -> Checkpoint:
 def _checked_params(path, kind: str, expect) -> Checkpoint:
     """Loads a checkpoint of `kind` whose parameters are exactly the names
     and shapes that `expect(checkpoint)` maps them to (a None size matches
-    any); anything else raises CheckpointError."""
+    any), every value finite; anything else raises CheckpointError."""
     ckpt = load_checkpoint(path)
     if ckpt.meta.get("kind") != kind:
         raise CheckpointError(f"{path}: not a {kind} checkpoint")
@@ -483,6 +483,8 @@ def _checked_params(path, kind: str, expect) -> Checkpoint:
                                          for s, g in zip(shape, got)):
             raise CheckpointError(
                 f"{path}: {name} has shape {got}, expected {shape}")
+        if not np.isfinite(ckpt.params[name]).all():
+            raise CheckpointError(f"{path}: {name} holds non-finite values")
     return ckpt
 
 

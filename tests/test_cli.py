@@ -9,11 +9,14 @@ from ldekit.config import ConfigError, GmmSettings, load_config
 from ldekit.data import (
     CorpusFormatError,
     SyntheticSpec,
+    Utterance,
     duration_bucket,
     generate_corpus,
     read_corpus,
     sdc,
+    write_corpus,
 )
+from ldekit.gmm import em_fit
 from ldekit.metrics import (
     AlignmentError,
     ScoresFormatError,
@@ -545,3 +548,111 @@ def test_gmm_bank_holds_one_class_of_features_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < all_classes
+
+
+def test_gmm_bank_peak_stays_below_one_class_of_unthinned_features():
+    import tracemalloc
+    train, _ = generate_corpus(SyntheticSpec(
+        num_classes=4, feature_dim=8, min_len=100, max_len=300,
+        train_utterances=48, test_utterances=4, seed=2))
+    largest = max(sum(sdc(u.features).nbytes for u in train if u.label == k)
+                  for k in range(4))
+    frames = sum(u.num_frames for u in train)
+    # thin each class to about a quarter of its frames: the fit itself holds
+    # the kept frames and their squares, so at half of them those two alone
+    # would already match the un-thinned class
+    g = GmmSettings(components=2, iterations=2,
+                    max_frames_per_class=frames // 16)
+    tracemalloc.start()
+    try:
+        fit_gmm_bank(train, 4, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < largest
+
+
+def concatenate_then_stride_bank(utts, num_classes, g):
+    """The bank as `fit_gmm_bank` fit it when it concatenated each class's
+    features and then kept every stride-th row of the copy; also returns
+    each class's stride and the class-wide index of each utterance's
+    first frame."""
+    rng = Rng(g.seed)
+    models, histories, counts, strides, starts = [], [], [], [], []
+    for k in range(num_classes):
+        pooled = [(sdc(u.features, g.sdc_coeffs, g.sdc_delta, g.sdc_shift,
+                       g.sdc_blocks, g.sdc_static) if g.use_sdc
+                   else u.features).T for u in utts if u.label == k]
+        starts.append(np.cumsum([0] + [len(p) for p in pooled[:-1]]))
+        frames = np.concatenate(pooled, axis=0)
+        stride = 1
+        if 0 < g.max_frames_per_class < frames.shape[0]:
+            stride = -(-frames.shape[0] // g.max_frames_per_class)
+            frames = frames[::stride].copy()
+        model, history = em_fit(frames, g.components, g.iterations,
+                                rng.split(k))
+        models.append(model)
+        histories.append(history)
+        counts.append(frames.shape[0])
+        strides.append(stride)
+    return (models, histories, counts), strides, starts
+
+
+@pytest.mark.parametrize("use_sdc", [True, False])
+@pytest.mark.parametrize("thinning", [0, 3, 7])
+def test_gmm_bank_equals_concatenate_then_stride(use_sdc, thinning):
+    train, _ = generate_corpus(SyntheticSpec(
+        num_classes=3, feature_dim=8, min_len=40, max_len=130,
+        train_utterances=30, test_utterances=3, seed=9))
+    per_class = min(sum(u.num_frames for u in train if u.label == k)
+                    for k in range(3))
+    g = GmmSettings(components=3, iterations=4, seed=6, use_sdc=use_sdc,
+                    sdc_blocks=3,
+                    max_frames_per_class=per_class // thinning if thinning
+                    else 0)
+    want, strides, starts = concatenate_then_stride_bank(train, 3, g)
+    if thinning:
+        assert min(strides) > 1
+        # some utterance starts between two kept rows of its class
+        assert any(np.any(s % stride) for s, stride in zip(starts, strides))
+    else:
+        assert strides == [1, 1, 1]
+    models, histories, counts = fit_gmm_bank(train, 3, g)
+    assert counts == want[2]
+    assert histories == want[1]
+    for got, expect in zip(models, want[0]):
+        for part in ("weights", "means", "variances"):
+            assert np.array_equal(getattr(got, part), getattr(expect, part))
+
+
+def write_test_corpus(tmp_path, num_classes=3, dim=6, length=40):
+    utts = [Utterance(f"te{i}", i % 3, Rng(i).normal((dim, length)))
+            for i in range(6)]
+    write_corpus(tmp_path / "data" / "test.bin", utts, num_classes, dim)
+
+
+@pytest.mark.parametrize("damage", ["classes", "dim", "truncated",
+                                    "too short"])
+def test_gmm_bad_test_corpus_writes_nothing(workspace, capsys, damage):
+    tmp_path, config = workspace
+    path = tmp_path / "data" / "test.bin"
+    named = str(path)
+    if damage == "classes":
+        write_test_corpus(tmp_path, num_classes=4)
+    elif damage == "dim":
+        write_test_corpus(tmp_path, dim=5)
+    elif damage == "truncated":
+        blob = path.read_bytes()
+        path.write_bytes(blob[:len(blob) - 100])
+    else:
+        # SDC 6-1-3-7 needs 21 frames: every train utterance has 30 or more
+        config = write_config(tmp_path, extra="[gmm]\nuse_sdc = true\n"
+                              "sdc_coeffs = 6\n", name="sdc.ini")
+        write_test_corpus(tmp_path, length=15)
+        named = "utterance te0"
+    code = main(["gmm", "--config", config])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "data error" in err and named in err
+    assert not (tmp_path / "runs" / "gmm.ckpt").exists()
+    assert not (tmp_path / "runs" / "gmm_scores.txt").exists()

@@ -139,6 +139,13 @@ def test_bad_gmm_settings():
         parse_config("[gmm]\ncomponents = 0\n")
 
 
+@pytest.mark.parametrize("setting", ["sdc_blocks = 0", "sdc_coeffs = 0",
+                                     "sdc_delta = -1", "sdc_shift = -3"])
+def test_bad_sdc_settings(setting):
+    with pytest.raises(ConfigError, match="invalid.*sdc_coeffs"):
+        parse_config(f"[gmm]\n{setting}\n")
+
+
 def test_bad_data_settings():
     with pytest.raises(ConfigError, match="invalid"):
         parse_config("[data]\nnum_classes = 1\n")

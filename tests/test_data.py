@@ -17,6 +17,7 @@ from ldekit.data import (
     make_batches,
     read_corpus,
     sdc,
+    sdc_shape,
     write_corpus,
 )
 from ldekit.ndcore import DimensionError, Rng
@@ -213,6 +214,22 @@ class TestSdc:
     def test_rejects_non_2d(self):
         with pytest.raises(DimensionError):
             sdc(np.zeros(30))
+
+    @pytest.mark.parametrize("shape, spec", [
+        ((7, 21), {}),
+        ((20, 300), {}),
+        ((20, 300), {"append_static": False}),
+        ((8, 50), {"n_coeffs": 8, "delta": 2, "shift": 5, "blocks": 2}),
+        ((3, 4), {"n_coeffs": 1, "delta": 1, "shift": 1, "blocks": 1}),
+    ])
+    def test_shape_without_computing(self, shape, spec):
+        assert sdc_shape(shape, **spec) == sdc(np.zeros(shape), **spec).shape
+
+    def test_shape_raises_what_sdc_raises(self):
+        with pytest.raises(ValueError, match="needs at least 21"):
+            sdc_shape((7, 20))
+        with pytest.raises(DimensionError):
+            sdc_shape((6, 30))
 
 
 class TestMakeBatches:

@@ -12,6 +12,7 @@ from ldekit.gmm import (
     log_densities,
     log_posterior_scores,
     posteriors,
+    total_log_likelihood,
 )
 from ldekit.encoding import (
     AGG_NORMALIZED,
@@ -36,6 +37,21 @@ def random_model(rng, num_components, dim):
     return GmmModel(weights=w,
                     means=rng.normal(size=(num_components, dim)),
                     variances=rng.uniform(0.3, 2.0, size=(num_components, dim)))
+
+
+class TestGmmModel:
+    @pytest.mark.parametrize("override", [
+        {"weights": [np.nan], "variances": [[np.nan, 1.0]]},
+        {"weights": [np.nan]},
+        {"means": [[np.inf, 0.0]]},
+        {"means": [[0.0, -np.inf]]},
+        {"variances": [[1.0, np.inf]]},
+    ])
+    def test_non_finite_parameters_rejected(self, override):
+        parts = {"weights": [1.0], "means": np.zeros((1, 2)),
+                 "variances": np.ones((1, 2)), **override}
+        with pytest.raises(ValueError, match="finite"):
+            GmmModel(**parts)
 
 
 class TestPosteriors:
@@ -377,6 +393,13 @@ class TestGmmClassify:
         b = GmmModel(np.array([1.0]), np.zeros((1, 3)), np.ones((1, 3)))
         with pytest.raises(DimensionError):
             gmm_classify([a, b], np.zeros((2, 4)))
+
+    def test_bit_identical_to_squaring_per_model(self):
+        rng = np.random.default_rng(14)
+        models = [random_model(rng, 4, 5) for _ in range(3)]
+        x = rng.normal(size=(5, 40))
+        want = [total_log_likelihood(m, x.T) / 40 for m in models]
+        assert np.array_equal(gmm_classify(models, x), want)
 
 
 class TestLogPosteriorScores:

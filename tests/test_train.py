@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 import tracemalloc
 
@@ -681,6 +682,31 @@ class TestCheckpoints:
         save_checkpoint(path, {"kind": "gmm", "num_classes": 2},
                         self.bank_params(2, **override))
         with pytest.raises(CheckpointError, match=message):
+            load_gmm_bank(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_model_parameter_rejected(self, tmp_path, bad):
+        model = self.build_model()
+        param = model.params()[1]
+        param.value.flat[-1] = bad
+        path = tmp_path / "model.ckpt"
+        save_model(path, model)
+        with pytest.raises(CheckpointError,
+                           match=re.escape(f"{param.name} holds non-finite")):
+            load_model(path)
+
+    @pytest.mark.parametrize("override, name", [
+        ({"weights": np.array([np.nan])}, "gmm.0.weights"),
+        ({"means": np.array([[np.inf, 0.0]])}, "gmm.0.means"),
+        ({"variances": np.array([[np.nan, 1.0]])}, "gmm.0.variances"),
+    ])
+    def test_bank_non_finite_parameter_rejected(self, tmp_path, override,
+                                                name):
+        path = tmp_path / "bank.ckpt"
+        save_checkpoint(path, {"kind": "gmm", "num_classes": 2},
+                        self.bank_params(2, **override))
+        with pytest.raises(CheckpointError,
+                           match=re.escape(f"{name} holds non-finite")):
             load_gmm_bank(path)
 
     def test_bank_in_the_former_mixture_section_rejected(self, tmp_path):
