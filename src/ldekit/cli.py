@@ -24,6 +24,7 @@ from .data import (
     duration_bucket,
     generate_corpus,
     read_corpus,
+    read_header,
     sdc,
     sdc_shape,
     write_corpus,
@@ -145,10 +146,7 @@ def train_from_config(rc: RunConfig, utts: list[Utterance], num_classes: int,
     """Initialize (seed stream 0) and train (stream 1) the configured model."""
     root = Rng(rc.train.seed)
     model = Model(model_config(rc, num_classes, in_dim), root.split(0))
-    steps = train_model(model, utts, rc.train.sgd(), root.split(1),
-                        batch_size=rc.train.batch_size, policy=rc.train.crop(),
-                        smooth_window=rc.train.smooth_window,
-                        log_path=log_path)
+    steps = train_model(model, utts, rc.train, root.split(1), log_path)
     return model, steps
 
 
@@ -314,27 +312,28 @@ def score_gmm_bank(models: list[GmmModel], utts: list[Utterance],
 
 def cmd_gmm(args) -> int:
     """Fits the bank on the train corpus, drops it, then reads and scores
-    the test corpus, so the two corpora are never held together. A test
-    corpus that fails to read, disagrees with the train corpus's header or
-    holds an utterance its features cannot take stops the command before
-    any artifact is written."""
+    the test corpus, so the two corpora are never held together. The test
+    corpus's header is checked against the train corpus's before the fit,
+    and no artifact is written unless every test utterance scores."""
     rc = load_config(args.config)
     _require_file(rc.paths.train_corpus, "train corpus")
     _require_file(rc.paths.test_corpus, "test corpus")
     _prepare_output(rc.paths.gmm_checkpoint, args.force)
     _prepare_output(rc.paths.gmm_scores, args.force)
     train, num_classes, in_dim = read_corpus(rc.paths.train_corpus)
+    with open(rc.paths.test_corpus, "rb") as fh:
+        k2, d2 = read_header(fh, rc.paths.test_corpus)
+    if (k2, d2) != (num_classes, in_dim):
+        raise CorpusFormatError(
+            f"{rc.paths.test_corpus}: header ({k2} classes, dim {d2}) does "
+            f"not match the train corpus ({num_classes}, dim {in_dim})")
     g = rc.gmm
     models, histories, counts = fit_gmm_bank(train, num_classes, g)
     del train
     for k, (history, count) in enumerate(zip(histories, counts)):
         print(f"class L{k}: {g.components} components on "
               f"{count} frames, final avg ll {history[-1] / count:.5f}")
-    test, k2, d2 = read_corpus(rc.paths.test_corpus)
-    if (k2, d2) != (num_classes, in_dim):
-        raise CorpusFormatError(
-            f"{rc.paths.test_corpus}: header ({k2} classes, dim {d2}) does "
-            f"not match the train corpus ({num_classes}, dim {in_dim})")
+    test, _, _ = read_corpus(rc.paths.test_corpus)
     tset = score_gmm_bank(models, test, num_classes, g)
     save_gmm_bank(rc.paths.gmm_checkpoint, models,
                   meta={"run_config": config_to_dict(rc)})

@@ -1,19 +1,21 @@
 """Plain-text run configuration: bracketed sections of key = value lines.
 
 Each section is a field of `RunConfig`, and a section's keys are the
-fields of its dataclass, each converted by its annotation (int, float,
-str, or bool via `_to_bool`). Every key has a default, unknown sections
-or keys are rejected, and the parsed configuration serializes back to a
-nested dict so checkpoints can echo the exact experiment settings.
+fields of its dataclass, each converted by its annotation (int, finite
+float via `_to_float`, str, or bool via `_to_bool`). Every key has a
+default, unknown sections or keys are rejected, and the parsed
+configuration serializes back to a nested dict so checkpoints can echo
+the exact experiment settings.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import get_type_hints
 
-from .data import CropPolicy, SyntheticSpec
+from .data import SyntheticSpec
 from .encoding import (
     AGG_MEAN,
     AGG_NORMALIZED,
@@ -84,38 +86,6 @@ class EncoderSettings:
 
 
 @dataclass
-class TrainSettings:
-    lr0: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    epochs: int = 30
-    batch_size: int = 32
-    crop_min: int = 200
-    crop_max: int = 1000
-    smooth_window: int = 400
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.batch_size < 1 or self.smooth_window < 1:
-            raise ConfigError("batch_size and smooth_window must be >= 1")
-
-    def sgd(self) -> SgdConfig:
-        """The full-budget recipe compressed to the configured epochs."""
-        try:
-            return SgdConfig(lr0=self.lr0, momentum=self.momentum,
-                             weight_decay=self.weight_decay,
-                             ).scaled(self.epochs)
-        except ValueError as exc:
-            raise ConfigError(f"bad train settings: {exc}") from exc
-
-    def crop(self) -> CropPolicy:
-        try:
-            return CropPolicy(self.crop_min, self.crop_max)
-        except ValueError as exc:
-            raise ConfigError(f"bad crop range: {exc}") from exc
-
-
-@dataclass
 class GmmSettings:
     components: int = 16
     iterations: int = 20
@@ -131,8 +101,8 @@ class GmmSettings:
     def __post_init__(self):
         if self.components < 1 or self.iterations < 1:
             raise ConfigError("components and iterations must be >= 1")
-        if self.max_frames_per_class < 0:
-            raise ConfigError("max_frames_per_class must be >= 0")
+        if self.max_frames_per_class < 0 or self.seed < 0:
+            raise ConfigError("max_frames_per_class and seed must be >= 0")
         if (self.sdc_coeffs < 1 or self.sdc_blocks < 1
                 or self.sdc_delta < 0 or self.sdc_shift < 0):
             raise ConfigError("sdc_coeffs and sdc_blocks must be >= 1, "
@@ -155,7 +125,7 @@ class RunConfig:
     data: SyntheticSpec = field(default_factory=SyntheticSpec)
     frontend: FrontendSettings = field(default_factory=FrontendSettings)
     encoder: EncoderSettings = field(default_factory=EncoderSettings)
-    train: TrainSettings = field(default_factory=TrainSettings)
+    train: SgdConfig = field(default_factory=SgdConfig)
     gmm: GmmSettings = field(default_factory=GmmSettings)
     paths: PathSettings = field(default_factory=PathSettings)
 
@@ -169,8 +139,15 @@ def _to_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _to_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
 # a key's converter follows its field's annotation
-_CONVERTERS = {int: int, float: float, str: str, bool: _to_bool}
+_CONVERTERS = {int: int, float: _to_float, str: str, bool: _to_bool}
 
 
 def _fields(cls) -> dict:

@@ -76,6 +76,8 @@ class SyntheticSpec:
             raise ValueError("separation must be >= 0")
         if not 0.0 <= self.self_loop < 1.0:
             raise ValueError("self_loop must be in [0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -87,16 +89,6 @@ class Utterance:
     @property
     def num_frames(self) -> int:
         return self.features.shape[1]
-
-
-@dataclass
-class CropPolicy:
-    crop_min: int = 200
-    crop_max: int = 1000
-
-    def __post_init__(self):
-        if not 1 <= self.crop_min <= self.crop_max:
-            raise ValueError("crop_min must be in [1, crop_max]")
 
 
 @dataclass
@@ -237,19 +229,19 @@ def sdc(x: np.ndarray, n_coeffs: int = 7, delta: int = 1, shift: int = 3,
     return out
 
 
-def make_batches(utts: list[Utterance], batch_size: int, policy: CropPolicy,
-                 rng: Rng):
+def make_batches(utts: list[Utterance], batch_size: int, crop_min: int,
+                 crop_max: int, rng: Rng):
     """One epoch of shuffled (B x D x L, labels) batches.
 
-    A fresh length L is drawn uniformly from the crop range per step and
-    every member is cropped or extended to it.
+    A fresh length L is drawn uniformly from [crop_min, crop_max] per step
+    and every member is cropped or extended to it.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     order = rng.permutation(len(utts))
     for start in range(0, len(utts), batch_size):
         members = [utts[i] for i in order[start:start + batch_size]]
-        target = rng.integers(policy.crop_min, policy.crop_max)
+        target = rng.integers(crop_min, crop_max)
         feats = np.stack([crop_or_extend(u, target, rng) for u in members])
         labels = np.array([u.label for u in members], dtype=np.int64)
         yield feats, labels
@@ -274,6 +266,19 @@ def write_corpus(path, utts: list[Utterance], num_classes: int,
             fh.write(feats.tobytes())
 
 
+def read_header(fh, path) -> tuple[int, int]:
+    """(num_classes, feature_dim) from the corpus header `fh` reads next."""
+    head = fh.read(16)
+    if head[:4] != MAGIC:
+        raise CorpusFormatError(f"{path}: bad magic {head[:4]!r}")
+    if len(head) < 16:
+        raise CorpusFormatError(f"{path}: truncated header")
+    version, num_classes, feature_dim = struct.unpack_from("<III", head, 4)
+    if version != FORMAT_VERSION:
+        raise CorpusFormatError(f"{path}: unsupported version {version}")
+    return num_classes, feature_dim
+
+
 def read_corpus(path) -> tuple[list[Utterance], int, int]:
     """Returns (utterances, num_classes, feature_dim).
 
@@ -282,14 +287,7 @@ def read_corpus(path) -> tuple[list[Utterance], int, int]:
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        head = fh.read(16)
-        if head[:4] != MAGIC:
-            raise CorpusFormatError(f"{path}: bad magic {head[:4]!r}")
-        if len(head) < 16:
-            raise CorpusFormatError(f"{path}: truncated header")
-        version, num_classes, feature_dim = struct.unpack_from("<III", head, 4)
-        if version != FORMAT_VERSION:
-            raise CorpusFormatError(f"{path}: unsupported version {version}")
+        num_classes, feature_dim = read_header(fh, path)
         utts = []
         ids = set()
         while True:

@@ -18,11 +18,11 @@ import json
 import struct
 from collections import deque
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import CropPolicy, make_batches
+from .data import make_batches
 from .encoding import Dictionary, LdeConfig, lde_backward, lde_forward, tap_forward
 from .frontend import ConvSpec, Frontend, StageSpec
 from .gmm import GmmModel
@@ -70,33 +70,33 @@ class LinearClassifier:
 
 @dataclass
 class SgdConfig:
-    """Momentum SGD recipe: step drops divide the rate by 10 and 100."""
+    """The training recipe and `[train]` config section: momentum SGD over
+    shuffled batches, each cropped to one length in [crop_min, crop_max],
+    the rate divided by 10 at 60/90 and by 100 at 80/90 of the epochs."""
 
     lr0: float = 0.1
     momentum: float = 0.9
     weight_decay: float = 1e-4
-    epochs: int = 90
-    drop1: int = 60
-    drop2: int = 80
+    epochs: int = 30
+    batch_size: int = 32
+    crop_min: int = 200
+    crop_max: int = 1000
+    smooth_window: int = 400
+    seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if not 0 <= self.drop1 <= self.drop2:
-            raise ValueError("need 0 <= drop1 <= drop2")
-
-    def scaled(self, epochs: int) -> "SgdConfig":
-        """Same recipe compressed to a different epoch budget, drop points
-        kept at the same fractions of the run."""
-        return replace(self, epochs=epochs,
-                       drop1=epochs * self.drop1 // self.epochs,
-                       drop2=epochs * self.drop2 // self.epochs)
+        if min(self.epochs, self.batch_size, self.smooth_window) < 1:
+            raise ValueError("epochs, batch_size and smooth_window must be >= 1")
+        if not 1 <= self.crop_min <= self.crop_max:
+            raise ValueError("crop_min must be in [1, crop_max]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def learning_rate(cfg: SgdConfig, epoch: int) -> float:
-    if epoch < cfg.drop1:
+    if epoch < cfg.epochs * 60 // 90:
         return cfg.lr0
-    if epoch < cfg.drop2:
+    if epoch < cfg.epochs * 80 // 90:
         return cfg.lr0 / 10.0
     return cfg.lr0 / 100.0
 
@@ -170,19 +170,18 @@ def model_config_to_dict(cfg: ModelConfig) -> dict:
 
 
 def model_config_from_dict(d: dict) -> ModelConfig:
+    """Inverse of model_config_to_dict; a missing required field, an
+    unknown one or a bad value raises CheckpointError."""
     try:
-        lde = LdeConfig(**d["lde"]) if d.get("lde") else None
-        fe = None
-        if d.get("frontend"):
-            f = d["frontend"]
+        record = dict(d)
+        lde, fe = record.get("lde"), record.get("frontend")
+        record["lde"] = LdeConfig(**lde) if lde else None
+        record["frontend"] = None
+        if fe:
             stages = [StageSpec(channels=c, blocks=b, downsample=dn)
-                      for c, b, dn in f["stages"]]
-            fe = ConvSpec(in_dim=f["in_dim"], stages=stages,
-                          kernel=f["kernel"], activation=f["activation"])
-        return ModelConfig(in_dim=d["in_dim"], num_classes=d["num_classes"],
-                           encoder=d["encoder"], lde=lde, frontend=fe,
-                           freeze_dictionary=d.get("freeze_dictionary", False),
-                           zero_dictionary=d.get("zero_dictionary", False))
+                      for c, b, dn in fe["stages"]]
+            record["frontend"] = ConvSpec(**{**fe, "stages": stages})
+        return ModelConfig(**record)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"bad model config: {exc}") from exc
 
@@ -324,30 +323,27 @@ class TrainStep:
     smoothed: float
 
 
-def train_model(model: Model, utts, sgd_cfg: SgdConfig, rng: Rng,
-                batch_size: int = 32, policy: CropPolicy | None = None,
-                smooth_window: int = 400,
+def train_model(model: Model, utts, cfg: SgdConfig, rng: Rng,
                 log_path=None) -> list[TrainStep]:
-    """SGD over shuffled random-crop batches for sgd_cfg.epochs epochs.
+    """SGD over shuffled random-crop batches for cfg.epochs epochs.
 
     Writes one 'step<TAB>loss<TAB>smoothed' line per step to log_path when
-    given; the smoothed value is the mean of the last smooth_window raw
-    losses. The log appears only when training completes. Aborts with
+    given; the smoothed value is the mean of the last cfg.smooth_window
+    raw losses. The log appears only when training completes. Aborts with
     NumericalError on a non-finite loss.
     """
     if not utts:
         raise ValueError("no training utterances")
-    if policy is None:
-        policy = CropPolicy()
-    optimizer = Sgd(model.trainable_params(), sgd_cfg)
-    recent = deque(maxlen=smooth_window)
+    optimizer = Sgd(model.trainable_params(), cfg)
+    recent = deque(maxlen=cfg.smooth_window)
     history = []
     log = atomic_write(log_path) if log_path is not None else nullcontext()
     with log as log_fh:
         step = 0
-        for epoch in range(sgd_cfg.epochs):
-            lr = learning_rate(sgd_cfg, epoch)
-            for feats, labels in make_batches(utts, batch_size, policy,
+        for epoch in range(cfg.epochs):
+            lr = learning_rate(cfg, epoch)
+            for feats, labels in make_batches(utts, cfg.batch_size,
+                                              cfg.crop_min, cfg.crop_max,
                                               rng.split(epoch)):
                 loss = batch_loss(model, feats, labels)
                 if not np.isfinite(loss):

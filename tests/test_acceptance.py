@@ -19,7 +19,7 @@ from ldekit.cli import (
     score_gmm_bank,
     train_from_config,
 )
-from ldekit.config import EncoderSettings, GmmSettings, RunConfig, TrainSettings
+from ldekit.config import EncoderSettings, GmmSettings, RunConfig
 from ldekit.data import SyntheticSpec, generate_corpus
 from ldekit.encoding import (
     AGG_MEAN,
@@ -51,6 +51,7 @@ from ldekit.train import (
     LinearClassifier,
     Model,
     ModelConfig,
+    SgdConfig,
     batch_loss,
     infer,
 )
@@ -385,7 +386,7 @@ def desk_model(encoder, seed, spec, train_utts, epochs, components=8):
     rc = RunConfig(encoder=EncoderSettings(model=encoder,
                                            components=components,
                                            aggregation=AGG_NORMALIZED),
-                   train=TrainSettings(epochs=epochs, seed=seed))
+                   train=SgdConfig(epochs=epochs, seed=seed))
     model, _ = train_from_config(rc, train_utts, spec.num_classes,
                                  spec.feature_dim)
     return model

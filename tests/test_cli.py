@@ -138,6 +138,21 @@ def test_train_non_positive_size_is_config_error(workspace, capsys, setting):
     assert not (tmp_path / "runs" / "model.ckpt").exists()
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("data", "noise_std", "nan"), ("data", "separation", "inf"),
+    ("data", "seed", "-1"), ("train", "seed", "-1"), ("gmm", "seed", "-1"),
+    ("train", "epochs", "0"), ("train", "crop_max", "10")])
+def test_gen_data_bad_setting_is_config_error(tmp_path, capsys, section, key,
+                                              value):
+    """A bad value in any section fails at parse time, before any corpus
+    is written, and the error names its key."""
+    config = write_config(tmp_path, extra=f"[{section}]\n{key} = {value}\n")
+    assert main(["gen-data", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert not (tmp_path / "data").exists()
+
+
 @pytest.mark.parametrize("exc_type, code, prefix", [
     (UsageError, 1, "usage error"),
     (ConfigError, 1, "config error"),
@@ -629,6 +644,19 @@ def write_test_corpus(tmp_path, num_classes=3, dim=6, length=40):
     utts = [Utterance(f"te{i}", i % 3, Rng(i).normal((dim, length)))
             for i in range(6)]
     write_corpus(tmp_path / "data" / "test.bin", utts, num_classes, dim)
+
+
+def test_gmm_header_mismatch_stops_before_the_fit(workspace, capsys,
+                                                  monkeypatch):
+    tmp_path, config = workspace
+    write_test_corpus(tmp_path, num_classes=4)
+    fits = []
+    monkeypatch.setattr(cli, "em_fit",
+                        lambda *a, **kw: fits.append(a) or em_fit(*a, **kw))
+    assert main(["gmm", "--config", config]) == 2
+    out, err = capsys.readouterr()
+    assert "does not match the train corpus" in err
+    assert fits == [] and out == ""
 
 
 @pytest.mark.parametrize("damage", ["classes", "dim", "truncated",

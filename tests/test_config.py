@@ -1,6 +1,7 @@
 import configparser
 import io
 from dataclasses import fields
+from typing import get_type_hints
 
 import pytest
 
@@ -12,6 +13,7 @@ from ldekit.config import (
     parse_config,
 )
 from ldekit.encoding import AGG_NORMALIZED, SMOOTHING_SHARED
+from ldekit.train import SgdConfig, learning_rate
 
 
 def test_empty_text_gives_defaults():
@@ -122,16 +124,30 @@ def test_bad_smoothing_mode():
 
 
 def test_sgd_schedule_scales_with_epochs():
-    rc = parse_config("[train]\nepochs = 30\n")
-    cfg = rc.train.sgd()
-    assert (cfg.epochs, cfg.drop1, cfg.drop2) == (30, 20, 26)
-    assert cfg.lr0 == 0.1
+    cfg = parse_config("[train]\nepochs = 30\n").train
+    assert isinstance(cfg, SgdConfig)
+    assert (cfg.epochs, cfg.lr0) == (30, 0.1)
+    assert learning_rate(cfg, 19) == 0.1
+    assert learning_rate(cfg, 20) == 0.1 / 10
+    assert learning_rate(cfg, 26) == 0.1 / 100
 
 
 def test_bad_crop_range():
-    rc = parse_config("[train]\ncrop_min = 500\ncrop_max = 100\n")
-    with pytest.raises(ConfigError, match="crop"):
-        rc.train.crop()
+    with pytest.raises(ConfigError, match=r"invalid \[train\].*crop"):
+        parse_config("[train]\ncrop_min = 500\ncrop_max = 100\n")
+
+
+FLOAT_KEYS = [(section, name)
+              for section, cls in get_type_hints(RunConfig).items()
+              for name, hint in get_type_hints(cls).items() if hint is float]
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, key", FLOAT_KEYS)
+def test_non_finite_float_rejected(section, key, raw):
+    with pytest.raises(ConfigError,
+                       match=rf"bad value for '{key}' in \[{section}\]"):
+        parse_config(f"[{section}]\n{key} = {raw}\n")
 
 
 def test_bad_gmm_settings():

@@ -8,7 +8,6 @@ from ldekit.data import (
     BUCKET_SEP,
     DURATION_BUCKETS,
     CorpusFormatError,
-    CropPolicy,
     SyntheticSpec,
     Utterance,
     crop_or_extend,
@@ -241,25 +240,22 @@ class TestMakeBatches:
 
     def test_epoch_covers_all_once(self):
         utts = self.make_utts(10)
-        policy = CropPolicy(8, 16)
         seen = []
-        for feats, labels in make_batches(utts, 3, policy, Rng(0)):
+        for feats, labels in make_batches(utts, 3, 8, 16, Rng(0)):
             assert feats.ndim == 3 and feats.shape[0] == len(labels)
             seen.extend(labels.tolist())
         assert len(seen) == 10  # remainder batch of 1 kept
 
     def test_shared_length_within_policy(self):
         utts = self.make_utts(9)
-        policy = CropPolicy(5, 12)
-        for feats, _ in make_batches(utts, 4, policy, Rng(2)):
+        for feats, _ in make_batches(utts, 4, 5, 12, Rng(2)):
             assert 5 <= feats.shape[2] <= 12
 
     def test_shuffle_is_seeded(self):
         utts = self.make_utts(8)
-        policy = CropPolicy(6, 6)
-        a = [lab.tolist() for _, lab in make_batches(utts, 4, policy, Rng(3))]
-        b = [lab.tolist() for _, lab in make_batches(utts, 4, policy, Rng(3))]
-        c = [lab.tolist() for _, lab in make_batches(utts, 4, policy, Rng(4))]
+        a = [lab.tolist() for _, lab in make_batches(utts, 4, 6, 6, Rng(3))]
+        b = [lab.tolist() for _, lab in make_batches(utts, 4, 6, 6, Rng(3))]
+        c = [lab.tolist() for _, lab in make_batches(utts, 4, 6, 6, Rng(4))]
         assert a == b
         assert a != c or True  # different seed may coincide on labels alone
 
@@ -267,11 +263,10 @@ class TestMakeBatches:
         # 10k steps of the shared crop length, 200..1000 inclusive
         utts = [Utterance("x", 0, np.zeros((1, 1))),
                 Utterance("y", 1, np.zeros((1, 1)))]
-        policy = CropPolicy(200, 1000)
         rng = Rng(123)
         draws = []
         for _ in range(10_000):
-            for feats, _ in make_batches(utts, 2, policy, rng):
+            for feats, _ in make_batches(utts, 2, 200, 1000, rng):
                 draws.append(feats.shape[2])
         draws = np.array(draws)
         assert draws.min() >= 200 and draws.max() <= 1000
@@ -281,7 +276,7 @@ class TestMakeBatches:
 
     def test_bad_batch_size(self):
         with pytest.raises(ValueError):
-            list(make_batches(self.make_utts(4), 0, CropPolicy(5, 6), Rng(0)))
+            list(make_batches(self.make_utts(4), 0, 5, 6, Rng(0)))
 
 
 class TestCorpusFile:

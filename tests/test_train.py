@@ -8,7 +8,7 @@ import pytest
 
 import ldekit.train
 from fdcheck import assert_grad_close, central_diff
-from ldekit.data import CropPolicy, Utterance
+from ldekit.data import Utterance
 from ldekit.encoding import (
     AGG_MEAN,
     AGG_NORMALIZED,
@@ -121,23 +121,31 @@ class TestLinearClassifier:
 class TestSchedule:
     def test_default_drop_points(self):
         cfg = SgdConfig()
+        assert cfg.epochs == 30
+        assert learning_rate(cfg, 19) == 0.1
+        assert learning_rate(cfg, 20) == 0.1 / 10
+        assert learning_rate(cfg, 25) == 0.1 / 10
+        assert learning_rate(cfg, 26) == 0.1 / 100
+        assert learning_rate(cfg, 29) == 0.1 / 100
+
+    def test_scaled_preserves_fractions(self):
+        # drops at epochs * 60 // 90 and epochs * 80 // 90
+        for epochs, drop1, drop2 in ((1, 0, 0), (2, 1, 1), (3, 2, 2),
+                                     (10, 6, 8), (91, 60, 80),
+                                     (200, 133, 177)):
+            cfg = SgdConfig(epochs=epochs)
+            rates = [learning_rate(cfg, e) for e in range(epochs)]
+            assert rates == ([0.1] * drop1 + [0.1 / 10] * (drop2 - drop1)
+                             + [0.1 / 100] * (epochs - drop2)), epochs
+
+    def test_scaled_identity_at_full_budget(self):
+        cfg = SgdConfig(epochs=90)
         assert learning_rate(cfg, 0) == 0.1
         assert learning_rate(cfg, 59) == 0.1
         assert learning_rate(cfg, 60) == 0.1 / 10
         assert learning_rate(cfg, 79) == 0.1 / 10
         assert learning_rate(cfg, 80) == 0.1 / 100
         assert learning_rate(cfg, 89) == 0.1 / 100
-
-    def test_scaled_preserves_fractions(self):
-        cfg = SgdConfig().scaled(30)
-        assert (cfg.epochs, cfg.drop1, cfg.drop2) == (30, 20, 26)
-        assert learning_rate(cfg, 19) == 0.1
-        assert learning_rate(cfg, 20) == 0.1 / 10
-        assert learning_rate(cfg, 26) == 0.1 / 100
-
-    def test_scaled_identity_at_full_budget(self):
-        cfg = SgdConfig().scaled(90)
-        assert (cfg.drop1, cfg.drop2) == (60, 80)
 
 
 class TestSgd:
@@ -228,6 +236,18 @@ class TestModel:
     def test_config_from_bad_dict(self):
         with pytest.raises(CheckpointError):
             model_config_from_dict({"encoder": "lde"})
+
+    def test_config_dict_without_flags_loads(self):
+        cfg = lde_model_config(in_dim=4, num_classes=2, components=2)
+        record = model_config_to_dict(cfg)
+        del record["freeze_dictionary"], record["zero_dictionary"]
+        assert model_config_from_dict(record) == cfg
+
+    def test_config_dict_unknown_key_rejected(self):
+        record = model_config_to_dict(lde_model_config())
+        record["turbo"] = True
+        with pytest.raises(CheckpointError, match="turbo"):
+            model_config_from_dict(record)
 
 
 class TestPooledScoring:
@@ -408,14 +428,12 @@ class TestAveragePoolingEquivalence:
                           aggregation_mode=AGG_MEAN, length_normalize=False),
             freeze_dictionary=True, zero_dictionary=True)
         utts = toy_utts(24, 5, Rng(33))
-        sgd = SgdConfig(epochs=2)
-        policy = CropPolicy(8, 16)
+        sgd = SgdConfig(epochs=2, batch_size=8, crop_min=8, crop_max=16)
 
         losses = {}
         for key, cfg in (("tap", tap_cfg), ("lde", lde_cfg)):
             model = Model(cfg, Rng(7))
-            hist = train_model(model, utts, sgd, Rng(99), batch_size=8,
-                               policy=policy)
+            hist = train_model(model, utts, sgd, Rng(99))
             losses[key] = [h.loss for h in hist]
         assert len(losses["tap"]) == len(losses["lde"]) > 0
         for a, b in zip(losses["tap"], losses["lde"]):
@@ -427,8 +445,9 @@ class TestAveragePoolingEquivalence:
                           lde=cfg.lde, freeze_dictionary=True)
         model = Model(cfg, Rng(3))
         before = [p.value.copy() for p in model.dictionary.params()]
-        train_model(model, toy_utts(12, 4, Rng(1)), SgdConfig(epochs=1),
-                    Rng(2), batch_size=4, policy=CropPolicy(6, 10))
+        train_model(model, toy_utts(12, 4, Rng(1)),
+                    SgdConfig(epochs=1, batch_size=4, crop_min=6, crop_max=10),
+                    Rng(2))
         for p, b in zip(model.dictionary.params(), before):
             assert np.array_equal(p.value, b)
 
@@ -446,8 +465,9 @@ class TestTrainModel:
         finals = []
         for _ in range(2):
             model = Model(cfg, Rng(5))
-            train_model(model, utts, SgdConfig(epochs=2), Rng(6),
-                        batch_size=4, policy=CropPolicy(8, 12))
+            train_model(model, utts, SgdConfig(epochs=2, batch_size=4,
+                                               crop_min=8, crop_max=12),
+                        Rng(6))
             finals.append([p.value.copy() for p in model.params()])
         for a, b in zip(*finals):
             assert np.array_equal(a, b)
@@ -456,9 +476,10 @@ class TestTrainModel:
         cfg, utts = self.small_setup()
         model = Model(cfg, Rng(5))
         log = tmp_path / "loss.log"
-        hist = train_model(model, utts, SgdConfig(epochs=1), Rng(6),
-                           batch_size=4, policy=CropPolicy(8, 12),
-                           smooth_window=3, log_path=log)
+        hist = train_model(model, utts,
+                           SgdConfig(epochs=1, batch_size=4, crop_min=8,
+                                     crop_max=12, smooth_window=3),
+                           Rng(6), log_path=log)
         lines = log.read_text().strip().split("\n")
         assert len(lines) == len(hist) == 4
         losses = []
@@ -472,8 +493,10 @@ class TestTrainModel:
     def test_training_reduces_loss(self):
         cfg, utts = self.small_setup()
         model = Model(cfg, Rng(5))
-        hist = train_model(model, utts, SgdConfig(lr0=0.05, epochs=10),
-                           Rng(6), batch_size=8, policy=CropPolicy(8, 12))
+        hist = train_model(model, utts,
+                           SgdConfig(lr0=0.05, epochs=10, batch_size=8,
+                                     crop_min=8, crop_max=12),
+                           Rng(6))
         first = np.mean([h.loss for h in hist[:4]])
         last = np.mean([h.loss for h in hist[-4:]])
         assert last < first
@@ -483,17 +506,19 @@ class TestTrainModel:
         utts[3].features[:] = np.nan
         model = Model(cfg, Rng(5))
         with pytest.raises(NumericalError, match="step"):
-            train_model(model, utts, SgdConfig(epochs=1), Rng(6),
-                        batch_size=16, policy=CropPolicy(12, 12))
+            train_model(model, utts, SgdConfig(epochs=1, batch_size=16,
+                                               crop_min=12, crop_max=12),
+                        Rng(6))
 
     def test_abort_leaves_no_loss_log(self, tmp_path):
         cfg, utts = self.small_setup()
         utts[7].features[:] = np.nan  # shuffled into the last batch
         log = tmp_path / "loss.log"
         with pytest.raises(NumericalError, match="at step 7"):
-            train_model(Model(cfg, Rng(5)), utts, SgdConfig(epochs=1),
-                        Rng(6), batch_size=2, policy=CropPolicy(8, 12),
-                        log_path=log)
+            train_model(Model(cfg, Rng(5)), utts,
+                        SgdConfig(epochs=1, batch_size=2, crop_min=8,
+                                  crop_max=12),
+                        Rng(6), log_path=log)
         assert os.listdir(tmp_path) == []
 
     def test_empty_corpus_rejected(self):
