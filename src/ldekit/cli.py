@@ -16,7 +16,13 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, config_to_dict, load_config
+from .config import (
+    ConfigError,
+    RunConfig,
+    config_to_dict,
+    load_config,
+    model_config,
+)
 from .data import (
     DURATION_BUCKETS,
     CorpusFormatError,
@@ -29,7 +35,6 @@ from .data import (
     sdc_shape,
     write_corpus,
 )
-from .encoding import LdeConfig
 from .gmm import GmmModel, em_fit, gmm_classify, log_posterior_scores
 from .metrics import (
     TrialScore,
@@ -45,9 +50,7 @@ from .metrics import (
 )
 from .ndcore import Rng
 from .train import (
-    ENCODER_LDE,
     Model,
-    ModelConfig,
     NumericalError,
     TrainStep,
     infer,
@@ -118,26 +121,6 @@ def _print_bucket_metrics(trials: TrialSet) -> None:
 
 def _class_names(num_classes: int) -> list[str]:
     return [f"L{k}" for k in range(num_classes)]
-
-
-def model_config(rc: RunConfig, num_classes: int, in_dim: int) -> ModelConfig:
-    """The classifier a run configuration describes, for a corpus shape."""
-    fe = rc.frontend.build(in_dim)
-    embed = fe.out_dim if fe is not None else in_dim
-    enc = rc.encoder
-    lde = None
-    if enc.model == ENCODER_LDE:
-        lde = LdeConfig(num_components=enc.components, feature_dim=embed,
-                        smoothing_mode=enc.smoothing, beta=enc.beta,
-                        aggregation_mode=enc.aggregation,
-                        length_normalize=enc.length_normalize)
-    try:
-        return ModelConfig(in_dim=in_dim, num_classes=num_classes,
-                           encoder=enc.model, lde=lde, frontend=fe,
-                           freeze_dictionary=enc.freeze_dictionary,
-                           zero_dictionary=enc.zero_dictionary)
-    except ValueError as exc:
-        raise ConfigError(f"bad model settings: {exc}") from exc
 
 
 def train_from_config(rc: RunConfig, utts: list[Utterance], num_classes: int,

@@ -16,14 +16,9 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import get_type_hints
 
 from .data import SyntheticSpec
-from .encoding import (
-    AGG_MEAN,
-    AGG_NORMALIZED,
-    SMOOTHING_PER_COMPONENT,
-    SMOOTHING_SHARED,
-)
+from .encoding import AGG_MEAN, SMOOTHING_PER_COMPONENT, LdeConfig
 from .frontend import ConvSpec, StageSpec
-from .train import ENCODER_LDE, ENCODER_TAP, SgdConfig
+from .train import ENCODER_LDE, ENCODER_TAP, ModelConfig, SgdConfig
 
 
 class ConfigError(ValueError):
@@ -42,25 +37,15 @@ class FrontendSettings:
         for chunk in self.stages.split(","):
             parts = chunk.strip().split(":")
             if len(parts) != 3 or parts[2] not in ("down", "flat"):
-                raise ConfigError(
+                raise ValueError(
                     f"bad stage {chunk!r}: expected channels:blocks:down|flat")
             try:
                 channels, blocks = int(parts[0]), int(parts[1])
             except ValueError as exc:
-                raise ConfigError(f"bad stage {chunk!r}: {exc}") from exc
+                raise ValueError(f"bad stage {chunk!r}: {exc}") from exc
             out.append(StageSpec(channels=channels, blocks=blocks,
                                  downsample=parts[2] == "down"))
         return out
-
-    def build(self, in_dim: int) -> ConvSpec | None:
-        """Concrete front-end spec for a corpus feature dimension."""
-        if not self.enabled:
-            return None
-        try:
-            return ConvSpec(in_dim=in_dim, stages=self.parse_stages(),
-                            kernel=self.kernel, activation=self.activation)
-        except ValueError as exc:
-            raise ConfigError(f"bad frontend settings: {exc}") from exc
 
 
 @dataclass
@@ -73,16 +58,6 @@ class EncoderSettings:
     length_normalize: bool = True
     freeze_dictionary: bool = False
     zero_dictionary: bool = False
-
-    def __post_init__(self):
-        if self.model not in (ENCODER_TAP, ENCODER_LDE):
-            raise ConfigError(f"unknown encoder model {self.model!r}")
-        if self.smoothing not in (SMOOTHING_SHARED, SMOOTHING_PER_COMPONENT):
-            raise ConfigError(f"unknown smoothing mode {self.smoothing!r}")
-        if self.aggregation not in (AGG_MEAN, AGG_NORMALIZED):
-            raise ConfigError(f"unknown aggregation mode {self.aggregation!r}")
-        if self.components < 1:
-            raise ConfigError("components must be >= 1")
 
 
 @dataclass
@@ -128,6 +103,26 @@ class RunConfig:
     train: SgdConfig = field(default_factory=SgdConfig)
     gmm: GmmSettings = field(default_factory=GmmSettings)
     paths: PathSettings = field(default_factory=PathSettings)
+
+
+def model_config(rc: RunConfig, num_classes: int, in_dim: int) -> ModelConfig:
+    """The classifier a run configuration describes, for a corpus shape."""
+    fe, enc = rc.frontend, rc.encoder
+    spec = None
+    if fe.enabled:
+        spec = ConvSpec(in_dim=in_dim, stages=fe.parse_stages(),
+                        kernel=fe.kernel, activation=fe.activation)
+    # built whatever the model, so that every [encoder] key is checked
+    lde = LdeConfig(num_components=enc.components,
+                    feature_dim=spec.out_dim if spec is not None else in_dim,
+                    smoothing_mode=enc.smoothing, beta=enc.beta,
+                    aggregation_mode=enc.aggregation,
+                    length_normalize=enc.length_normalize)
+    return ModelConfig(in_dim=in_dim, num_classes=num_classes,
+                       encoder=enc.model,
+                       lde=lde if enc.model == ENCODER_LDE else None,
+                       frontend=spec, freeze_dictionary=enc.freeze_dictionary,
+                       zero_dictionary=enc.zero_dictionary)
 
 
 def _to_bool(raw: str) -> bool:
@@ -189,12 +184,18 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
     for section, builder in sections.items():
         try:
             built[section] = builder(**overrides.get(section, {}))
-        except (ValueError, ConfigError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"{origin}: invalid [{section}]: {exc}") from exc
     rc = RunConfig(**built)
-    # surface stage-syntax errors at parse time, not at model build
-    if rc.frontend.enabled:
-        rc.frontend.parse_stages()
+    # so that every subcommand rejects a bad [frontend] or [encoder] value
+    try:
+        cfg = model_config(rc, rc.data.num_classes, rc.data.feature_dim)
+    except ValueError as exc:
+        raise ConfigError(f"{origin}: bad model settings: {exc}") from exc
+    if cfg.frontend is not None and rc.train.crop_min < cfg.frontend.min_length:
+        raise ConfigError(f"{origin}: crop_min {rc.train.crop_min} in [train] "
+                          f"is below the front-end's minimum input length "
+                          f"{cfg.frontend.min_length}")
     return rc
 
 

@@ -66,6 +66,11 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.num_classes < 2:
             raise ValueError("need at least 2 classes")
+        if self.feature_dim < 1:
+            raise ValueError("feature_dim must be >= 1")
+        if self.train_utterances < 0 or self.test_utterances < 0:
+            raise ValueError("train_utterances and test_utterances must be "
+                             ">= 0")
         if self.min_len < 1 or self.min_len > self.max_len:
             raise ValueError("bad utterance length range")
         if self.phones_per_class < 1:
@@ -276,6 +281,10 @@ def read_header(fh, path) -> tuple[int, int]:
     version, num_classes, feature_dim = struct.unpack_from("<III", head, 4)
     if version != FORMAT_VERSION:
         raise CorpusFormatError(f"{path}: unsupported version {version}")
+    if num_classes < 2 or feature_dim < 1:
+        raise CorpusFormatError(f"{path}: header declares {num_classes} "
+                                f"classes of dim {feature_dim}; need at least "
+                                f"2 classes of dim >= 1")
     return num_classes, feature_dim
 
 

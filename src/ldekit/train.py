@@ -137,7 +137,7 @@ class ModelConfig:
         if self.in_dim < 1 or self.num_classes < 2:
             raise ValueError("need in_dim >= 1 and at least 2 classes")
         if self.encoder not in (ENCODER_TAP, ENCODER_LDE):
-            raise ValueError(f"unknown encoder {self.encoder!r}")
+            raise ValueError(f"unknown encoder model {self.encoder!r}")
         if self.encoder == ENCODER_LDE and self.lde is None:
             raise ValueError("lde encoder needs an LdeConfig")
         if self.frontend is not None and self.frontend.in_dim != self.in_dim:

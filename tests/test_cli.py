@@ -28,9 +28,11 @@ from ldekit.ndcore import DimensionError, Rng
 from ldekit.train import (
     CheckpointError,
     Model,
+    ModelConfig,
     NumericalError,
     load_gmm_bank,
     load_model,
+    save_model,
 )
 
 BASE = """
@@ -141,7 +143,9 @@ def test_train_non_positive_size_is_config_error(workspace, capsys, setting):
 @pytest.mark.parametrize("section, key, value", [
     ("data", "noise_std", "nan"), ("data", "separation", "inf"),
     ("data", "seed", "-1"), ("train", "seed", "-1"), ("gmm", "seed", "-1"),
-    ("train", "epochs", "0"), ("train", "crop_max", "10")])
+    ("train", "epochs", "0"), ("train", "crop_max", "10"),
+    ("data", "feature_dim", "0"), ("data", "train_utterances", "-5"),
+    ("data", "test_utterances", "-1"), ("train", "crop_min", "1")])
 def test_gen_data_bad_setting_is_config_error(tmp_path, capsys, section, key,
                                               value):
     """A bad value in any section fails at parse time, before any corpus
@@ -151,6 +155,46 @@ def test_gen_data_bad_setting_is_config_error(tmp_path, capsys, section, key,
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and key in err
     assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("extra", [
+    "[frontend]\nkernel = 2\n",
+    "[frontend]\nactivation = foo\n",
+    "[frontend]\nstages = 0:1:down\n",
+    "[frontend]\nstages = 32:1:down,16:1:down\n",
+    "[encoder]\nmodel = lde\nsmoothing = shared_beta\nbeta = 0\n",
+], ids=["even-kernel", "activation", "zero-channels", "shrinking-stages",
+        "lde-zero-beta"])
+def test_gen_data_bad_model_setting_is_config_error(tmp_path, capsys, extra):
+    """[frontend] and [encoder] values are checked when the config is
+    parsed, before any corpus is written."""
+    config = write_config(tmp_path, extra=extra)
+    assert main(["gen-data", "--config", config]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "gmm"])
+def test_one_class_corpus_is_data_error(tmp_path, capsys, command):
+    """A corpus header with fewer than 2 classes is rejected where the
+    corpus is read, naming the file, and nothing is written."""
+    corpus = tmp_path / "one.bin"
+    write_corpus(corpus, [Utterance(f"u{i}", 0, Rng(i).normal((6, 40)))
+                          for i in range(4)], num_classes=1, feature_dim=6)
+    if command == "eval":
+        ckpt = tmp_path / "model.ckpt"
+        save_model(ckpt, Model(ModelConfig(in_dim=6, num_classes=3), Rng(0)),
+                   epoch=1)
+        args = ["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                "--scores", str(tmp_path / "runs" / "scores.txt")]
+    else:
+        args = [command, "--config", write_config(
+            tmp_path, extra=f"[paths]\ntrain_corpus = {corpus}\n"
+                            f"test_corpus = {corpus}\n")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(corpus) in err
+    assert list(tmp_path.glob("runs/*")) == []
 
 
 @pytest.mark.parametrize("exc_type, code, prefix", [

@@ -10,6 +10,7 @@ from ldekit.config import (
     RunConfig,
     config_to_dict,
     load_config,
+    model_config,
     parse_config,
 )
 from ldekit.encoding import AGG_NORMALIZED, SMOOTHING_SHARED
@@ -102,15 +103,55 @@ def test_bad_stage_syntax():
 
 def test_disabled_frontend_builds_none():
     rc = parse_config("[frontend]\nenabled = false\n")
-    assert rc.frontend.build(20) is None
+    assert model_config(rc, 4, 20).frontend is None
 
 
 def test_frontend_build_gives_spec():
-    rc = parse_config("")
-    spec = rc.frontend.build(20)
-    assert spec.in_dim == 20
+    cfg = model_config(parse_config(""), 4, 20)
+    spec = cfg.frontend
+    assert cfg.in_dim == spec.in_dim == 20
     assert [s.channels for s in spec.stages] == [16, 32]
-    assert spec.out_dim == 32
+    assert spec.out_dim == cfg.embed_dim == 32
+
+
+def test_tap_model_builds_no_encoder():
+    cfg = model_config(parse_config("[encoder]\nmodel = tap\n"), 4, 20)
+    assert cfg.encoder == "tap"
+    assert cfg.lde is None
+
+
+def test_lde_model_takes_the_encoder_keys():
+    cfg = model_config(parse_config(
+        "[encoder]\nmodel = lde\ncomponents = 3\nsmoothing = shared_beta\n"
+        "beta = 0.5\n"), 4, 20)
+    assert (cfg.lde.num_components, cfg.lde.feature_dim) == (3, 32)
+    assert (cfg.lde.smoothing_mode, cfg.lde.beta) == (SMOOTHING_SHARED, 0.5)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[encoder]\naggregation = max\n", "aggregation_mode"),
+    ("[encoder]\ncomponents = 0\n", "num_components"),
+    ("[encoder]\nsmoothing = shared_beta\nbeta = -1\n", "beta must be > 0"),
+], ids=["aggregation", "components", "beta"])
+def test_encoder_keys_checked_for_tap(text, message):
+    """The TAP model has no dictionary, but its [encoder] keys are still
+    checked when the config is parsed."""
+    with pytest.raises(ConfigError, match=f"<config>: bad model.*{message}"):
+        parse_config(text)
+
+
+def test_disabled_frontend_keys_unchecked():
+    rc = parse_config("[frontend]\nenabled = no\nkernel = 2\n")
+    assert rc.frontend.kernel == 2
+
+
+def test_crop_below_frontend_minimum_rejected():
+    with pytest.raises(ConfigError, match="crop_min 3 .*minimum input "
+                                          "length 4"):
+        parse_config("[train]\ncrop_min = 3\ncrop_max = 8\n")
+    assert parse_config("[train]\ncrop_min = 4\ncrop_max = 8\n")
+    assert parse_config("[frontend]\nenabled = no\n"
+                        "[train]\ncrop_min = 1\ncrop_max = 3\n")
 
 
 def test_bad_encoder_model():
