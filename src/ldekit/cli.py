@@ -237,27 +237,28 @@ def _gmm_features(utt: Utterance, g, shape_only: bool = False):
 
 
 def _pooled_class_frames(utts: list[Utterance], g) -> np.ndarray:
-    """One class's mixture features as one contiguous N x D array, thinned
-    by an even stride to at most `max_frames_per_class` rows: row i of the
-    class's features in corpus order is kept when i is a multiple of the
-    stride. The array is sized from the utterance lengths and filled one
-    utterance at a time, so only the kept rows are ever held together."""
+    """One class's mixture features as the N x D transpose of one
+    contiguous D x N array, thinned by an even stride to at most
+    `max_frames_per_class` frames: frame i of the class's features in
+    corpus order is kept when i is a multiple of the stride. The array is
+    sized from the utterance lengths and filled one utterance at a time,
+    so only the kept frames are ever held together."""
     shapes = [_gmm_features(u, g, shape_only=True) for u in utts]
     total = sum(length for _, length in shapes)
     stride = 1
     if 0 < g.max_frames_per_class < total:
         stride = -(-total // g.max_frames_per_class)
-    frames = np.empty((-(-total // stride), shapes[0][0]))
-    # the pool's next free row, and the class-wide index of the next
+    pool = np.empty((shapes[0][0], -(-total // stride)))
+    # the pool's next free column, and the class-wide index of the next
     # utterance's first frame
-    row = start = 0
+    col = start = 0
     for u, (_, length) in zip(utts, shapes):
         first = -start % stride
         kept = len(range(first, length, stride))
-        frames[row:row + kept] = _gmm_features(u, g)[:, first::stride].T
-        row += kept
+        pool[:, col:col + kept] = _gmm_features(u, g)[:, first::stride]
+        col += kept
         start += length
-    return frames
+    return pool.T
 
 
 def fit_gmm_bank(utts: list[Utterance], num_classes: int, g

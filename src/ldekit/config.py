@@ -192,10 +192,14 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
         cfg = model_config(rc, rc.data.num_classes, rc.data.feature_dim)
     except ValueError as exc:
         raise ConfigError(f"{origin}: bad model settings: {exc}") from exc
-    if cfg.frontend is not None and rc.train.crop_min < cfg.frontend.min_length:
-        raise ConfigError(f"{origin}: crop_min {rc.train.crop_min} in [train] "
-                          f"is below the front-end's minimum input length "
-                          f"{cfg.frontend.min_length}")
+    # the front-end rejects shorter inputs: crops in training, whole
+    # utterances of the corpus in scoring
+    for key, section, value in (("crop_min", "train", rc.train.crop_min),
+                                ("min_len", "data", rc.data.min_len)):
+        if cfg.frontend is not None and value < cfg.frontend.min_length:
+            raise ConfigError(f"{origin}: {key} {value} in [{section}] is "
+                              f"below the front-end's minimum input length "
+                              f"{cfg.frontend.min_length}")
     return rc
 
 

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ndcore import (
-    DimensionError,
-    Rng,
-    log_sum_exp_rows,
-    softmax_rows,
-    sq_dists,
-    sq_norms,
-)
+from .ndcore import DimensionError, Rng, log_sum_exp_rows, softmax_rows
 
 log = logging.getLogger(__name__)
 
@@ -79,19 +72,35 @@ def _check_sequence(model: GmmModel, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _expand(lin: np.ndarray, quad: np.ndarray | None, const: np.ndarray,
+            x: np.ndarray, x_sq: np.ndarray | None) -> np.ndarray:
+    """C x N values lin . x + quad . x^2 + const of D x N frames `x` and
+    their squares `x_sq`, from C x D natural parameters `lin` and `quad`
+    and C constants; `quad` None drops the x^2 term. Component-major, so
+    every reduction over components runs over C contiguous rows of N."""
+    out = lin @ x
+    if quad is not None:
+        out += quad @ x_sq
+    out += const[:, None]
+    return out
+
+
 def log_densities(model: GmmModel, frames: np.ndarray,
                   frames_sq: np.ndarray | None = None) -> np.ndarray:
     """Per-frame, per-component log of weight * diagonal Gaussian density.
 
     frames: L x D, and `frames ** 2` when the caller holds it (it is
-    squared here otherwise). Returns L x C.
+    squared here otherwise). Returns L x C, the transposed view of a
+    C x L array: (mu/var) . x - 1/2 (1/var) . x^2 + const per component.
     """
-    log_norm = -0.5 * (model.dim * np.log(2.0 * np.pi)
-                       + np.log(model.variances).sum(axis=1))
+    if frames_sq is None:
+        frames_sq = frames ** 2
     inv_var = 1.0 / model.variances
-    norms = None if frames_sq is None else sq_norms(frames_sq, inv_var)
-    mahal = sq_dists(frames, model.means, inv_var, norms)
-    return np.log(model.weights)[None, :] + log_norm[None, :] - 0.5 * mahal
+    const = np.log(model.weights) - 0.5 * (
+        model.dim * np.log(2.0 * np.pi) + np.log(model.variances).sum(axis=1)
+        + (model.means ** 2 * inv_var).sum(axis=1))
+    return _expand(model.means * inv_var, -0.5 * inv_var, const,
+                   frames.T, frames_sq.T).T
 
 
 def posteriors(model: GmmModel, x: np.ndarray) -> np.ndarray:
@@ -121,28 +130,50 @@ def total_log_likelihood(model: GmmModel, frames: np.ndarray,
         log_densities(model, frames, frames_sq)).sum())
 
 
+def _assign(centers: np.ndarray, x: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """C x N one-hot of each of the D x N frames' nearest center, and the
+    C x N scores mu . x - ||mu||^2 / 2 it maximizes: -||x - mu||^2 / 2 up
+    to each frame's own ||x||^2 / 2. One product with the one-hot gives
+    every cluster's sum, so no cluster's members are gathered."""
+    score = _expand(centers, None, -0.5 * (centers ** 2).sum(axis=1), x, None)
+    nearest = score.argmax(axis=0)
+    onehot = np.arange(len(centers))[:, None] == nearest
+    return onehot.astype(np.float64), score
+
+
 def _kmeans(frames: np.ndarray, num_components: int, iters: int,
-            rng: Rng, norms: np.ndarray | None = None) -> np.ndarray:
-    """Plain Lloyd iterations from seeded distinct-frame init. `norms` is
-    the unweighted ||x||^2 term of `sq_dists` for these frames, the same
-    in every iteration; without it each iteration squares the frames."""
-    n = frames.shape[0]
-    centers = frames[rng.choice(n, num_components, replace=False)].copy()
+            rng: Rng) -> np.ndarray:
+    """Plain Lloyd iterations from seeded distinct-frame init on N x D
+    frames, whose D x N transpose enters every product."""
+    x = frames.T
+    centers = frames[rng.choice(len(frames), num_components,
+                                replace=False)].copy()
     for _ in range(iters):
-        d2 = sq_dists(frames, centers, norms=norms)
-        assign = np.argmin(d2, axis=1)
-        # one stable sort lists each cluster's members in a contiguous run,
-        # in frame order; gathering one cluster at a time keeps no second
-        # copy of all the frames
-        order = np.argsort(assign, kind="stable")
-        ends = np.cumsum(np.bincount(assign, minlength=num_components))
-        for c, members in enumerate(np.split(order, ends[:-1])):
-            if len(members) == 0:
-                # re-seed an empty cluster at the point farthest from its center
-                centers[c] = frames[np.argmax(d2[:, c])]
-            else:
-                centers[c] = frames[members].mean(axis=0)
+        onehot, score = _assign(centers, x)
+        counts = onehot.sum(axis=1)
+        full = counts > 0
+        centers[full] = (onehot @ frames)[full] / counts[full, None]
+        for c in np.flatnonzero(~full):
+            # re-seed an empty cluster at the frame farthest from its
+            # center: ||x - mu_c||^2 = ||x||^2 - 2 score_c
+            far = np.einsum("dn,dn->n", x, x) - 2.0 * score[c]
+            centers[c] = frames[np.argmax(far)]
     return centers
+
+
+def _responsibilities(model: GmmModel, x: np.ndarray, x_sq: np.ndarray
+                      ) -> tuple[np.ndarray, float]:
+    """C x N posteriors of the D x N frames `x` (squares `x_sq`) and their
+    total log-likelihood; one max shift and exp give both."""
+    post = log_densities(model, x.T, x_sq.T).T
+    top = post.max(axis=0)
+    post -= top
+    np.exp(post, out=post)
+    total = post.sum(axis=0)
+    ll = float((top + np.log(total)).sum())
+    post /= total
+    return post, ll
 
 
 def em_fit(frames: np.ndarray, num_components: int, iters: int,
@@ -151,54 +182,50 @@ def em_fit(frames: np.ndarray, num_components: int, iters: int,
     log-likelihood history (one entry per iteration, evaluated before
     that iteration's update, so the sequence is non-decreasing).
 
-    `frames` is made C-contiguous on entry (free when it already is), so
-    every product runs on contiguous rows. The frames are squared once per
-    fit: k-means and the first assignment share one unweighted ||x||^2
-    term, and every E-step and M-step reads the same `frames ** 2`.
+    The fit runs component-major on the D x N `frames.T`, copied once
+    unless it is contiguous (as for the N x D view of a D x N pool), so
+    every reduction over components runs over C contiguous rows of N
+    frames. The frames are squared once per fit, for every E-step and
+    M-step.
 
-    Init is 10 seeded k-means iterations; variances then come from
-    cluster scatter and weights from cluster sizes. Components that lose
-    all posterior mass are re-seeded near the highest-variance component.
+    Init is 10 seeded k-means iterations; weights then come from cluster
+    sizes and variances from each cluster's sums and sums of squares.
+    Components that lose all posterior mass are re-seeded near the
+    highest-variance component.
     """
-    frames = np.ascontiguousarray(frames, dtype=np.float64)
+    frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[1] < 1:
         raise DimensionError("expected pooled frames as an N x D array")
+    x = np.ascontiguousarray(frames.T)
+    frames = x.T
     n_frames, dim = frames.shape
     if n_frames < num_components * 10:
         raise ValueError(
             f"need at least {num_components * 10} frames to fit "
             f"{num_components} components, got {n_frames}")
 
-    global_var = frames.var(axis=0)
+    # before the squares exist, so var's own N x D temporary is not
+    # held alongside them
+    global_var = x.var(axis=1)
     var_floor = np.maximum(VAR_FLOOR_FRACTION * global_var, 1e-12)
 
-    frames_sq = frames ** 2
-    norms = sq_norms(frames_sq, np.ones((num_components, dim)))
-    centers = _kmeans(frames, num_components, 10, rng, norms)
-    assign = np.argmin(sq_dists(frames, centers, norms=norms), axis=1)
-    del norms
-    counts = np.bincount(assign, minlength=num_components).astype(np.float64)
-    counts = np.maximum(counts, 1.0)
-    weights = counts / counts.sum()
-    variances = np.empty((num_components, dim))
-    for c in range(num_components):
-        members = frames[assign == c]
-        scatter = members.var(axis=0) if len(members) > 1 else global_var
-        variances[c] = np.maximum(scatter, var_floor)
-    del assign, members
-    model = GmmModel(weights=weights, means=centers, variances=variances)
+    centers = _kmeans(frames, num_components, 10, rng)
+    x_sq = x ** 2
+    onehot = _assign(centers, x)[0]
+    counts = onehot.sum(axis=1)
+    sizes = np.maximum(counts, 1.0)
+    mean = (onehot @ frames) / sizes[:, None]
+    scatter = (onehot @ x_sq.T) / sizes[:, None] - mean ** 2
+    del onehot
+    scatter[counts <= 1] = global_var
+    model = GmmModel(weights=sizes / sizes.sum(), means=centers,
+                     variances=np.maximum(scatter, var_floor))
 
     ll_history = []
     for it in range(iters):
-        # one max shift and exp give both log_sum_exp_rows and softmax_rows
-        post = log_densities(model, frames, frames_sq)
-        top = post.max(axis=1)
-        post -= top[:, None]
-        np.exp(post, out=post)
-        total = post.sum(axis=1)
-        ll_history.append(float((top + np.log(total)).sum()))
-        post /= total[:, None]
-        n = post.sum(axis=0)
+        post, ll = _responsibilities(model, x, x_sq)
+        ll_history.append(ll)
+        n = post.sum(axis=1)
 
         empty = np.flatnonzero(n < EMPTY_COMPONENT_FLOOR)
         if len(empty) > 0:
@@ -209,14 +236,13 @@ def em_fit(frames: np.ndarray, num_components: int, iters: int,
                 jitter = rng.normal((dim,)) * np.sqrt(model.variances[donor])
                 model.means[c] = model.means[donor] + 0.1 * jitter
                 model.variances[c] = model.variances[donor].copy()
-                n[c] = EMPTY_COMPONENT_FLOOR
             # recompute responsibilities against the repaired model
-            post = softmax_rows(log_densities(model, frames, frames_sq))
-            n = np.maximum(post.sum(axis=0), EMPTY_COMPONENT_FLOOR)
+            post, _ = _responsibilities(model, x, x_sq)
+            n = np.maximum(post.sum(axis=1), EMPTY_COMPONENT_FLOOR)
 
         weights = n / n.sum()
-        means = (post.T @ frames) / n[:, None]
-        sq = (post.T @ frames_sq) / n[:, None]
+        means = (post @ frames) / n[:, None]
+        sq = (post @ x_sq.T) / n[:, None]
         del post  # freed before the next E-step builds its own
         variances = np.maximum(sq - means ** 2, var_floor)
         model = GmmModel(weights=weights, means=means, variances=variances)

@@ -1,7 +1,7 @@
 """Dense numeric substrate shared by every other module.
 
-Frame-to-center squared distances for hard assignment and for every
-mixture computation come from `sq_dists`. Randomness goes through `Rng`,
+Frame-to-center squared distances for the dictionary encoder's soft and
+hard assignment come from `sq_dists`. Randomness goes through `Rng`,
 a counter-based Philox generator that can be split into independent,
 reproducible child streams so data generation, parameter init and batch
 cropping never perturb each other's draws. Every artifact file is written
@@ -37,28 +37,14 @@ def atomic_write(path, mode: str = "w"):
         raise
 
 
-def sq_norms(frames_sq: np.ndarray, inv_var: np.ndarray) -> np.ndarray:
-    """The N x C ||x||^2 term of `sq_dists`: N x D squared frames
-    weighted per center by the C x D `inv_var`."""
-    return frames_sq @ inv_var.T
-
-
-def sq_dists(frames: np.ndarray, centers: np.ndarray,
-             inv_var: np.ndarray | None = None,
-             norms: np.ndarray | None = None) -> np.ndarray:
-    """N x C squared distances from N x D frames to C x D centers, each
-    coordinate weighted per center by `inv_var` when given. Expanded as
-    ||x||^2 - 2 x.mu + ||mu||^2 to avoid an N x C x D intermediate.
-
-    `norms` is the ||x||^2 term, `sq_norms(frames ** 2, inv_var)` (with
-    all-ones weights when `inv_var` is None). A caller that already holds
-    the squared frames, or reuses the same weights, passes it in so the
-    frames are not squared again; the result is the same bit for bit."""
-    if inv_var is None:
-        inv_var = np.ones_like(centers)
-    sq = sq_norms(frames ** 2, inv_var) if norms is None else norms
-    cross = frames @ (centers * inv_var).T
-    const = ((centers ** 2) * inv_var).sum(axis=1)
+def sq_dists(frames: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """N x C squared distances from N x D frames (or a B x N x D batch) to
+    C x D centers. Expanded as ||x||^2 - 2 x.mu + ||mu||^2 to avoid an
+    N x C x D intermediate; ||x||^2 is a product with a C x D block of
+    ones, which gives it the result's shape."""
+    sq = (frames ** 2) @ np.ones_like(centers).T
+    cross = frames @ centers.T
+    const = (centers ** 2).sum(axis=1)
     return sq - 2.0 * cross + const[None, :]
 
 

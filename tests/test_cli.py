@@ -631,6 +631,27 @@ def test_gmm_bank_peak_stays_below_one_class_of_unthinned_features():
     assert peak < largest
 
 
+@pytest.mark.parametrize("thinning", [8, 16])
+def test_em_fit_peak_stays_below_twice_its_pool(thinning):
+    import tracemalloc
+    train, _ = generate_corpus(SyntheticSpec(
+        num_classes=4, feature_dim=8, min_len=100, max_len=300,
+        train_utterances=48, test_utterances=4, seed=2))
+    frames = sum(u.num_frames for u in train)
+    # each class thinned to about a half and about a quarter of its frames
+    g = GmmSettings(components=2, iterations=2,
+                    max_frames_per_class=frames // thinning)
+    for k in range(4):
+        pool = cli._pooled_class_frames([u for u in train if u.label == k], g)
+        tracemalloc.start()
+        try:
+            em_fit(pool, g.components, g.iterations, Rng(k))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * pool.nbytes
+
+
 def concatenate_then_stride_bank(utts, num_classes, g):
     """The bank as `fit_gmm_bank` fit it when it concatenated each class's
     features and then kept every stride-th row of the copy; also returns

@@ -154,6 +154,16 @@ def test_crop_below_frontend_minimum_rejected():
                         "[train]\ncrop_min = 1\ncrop_max = 3\n")
 
 
+def test_min_len_below_frontend_minimum_rejected():
+    # a corpus whose shortest utterances the model could not score
+    text = "[data]\nmin_len = 2\nmax_len = 3\nbucketed_test = false\n"
+    with pytest.raises(ConfigError, match="min_len 2 in \\[data\\] .*minimum "
+                                          "input length 4"):
+        parse_config(text)
+    assert parse_config("[frontend]\nenabled = no\n" + text)
+    assert parse_config("[data]\nmin_len = 4\nmax_len = 8\n")
+
+
 def test_bad_encoder_model():
     with pytest.raises(ConfigError, match="unknown encoder model"):
         parse_config("[encoder]\nmodel = attention\n")

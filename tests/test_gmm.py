@@ -254,6 +254,26 @@ def assert_same_fit(fit_a, fit_b):
     assert history_a == history_b
 
 
+# components are summed in another order than the references sum them, so
+# they agree to rounding, not bit for bit
+REL_TOL = 1e-12
+
+
+def max_rel_diff(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def assert_close_fit(fit_a, fit_b):
+    (a, history_a), (b, history_b) = fit_a, fit_b
+    for name in ("weights", "means", "variances"):
+        assert max_rel_diff(getattr(a, name), getattr(b, name)) <= REL_TOL, \
+            name
+    assert len(history_a) == len(history_b)
+    for got, want in zip(history_a, history_b):
+        assert max_rel_diff(got, want) <= REL_TOL
+
+
 class TestKmeans:
     @pytest.mark.parametrize("seed", range(5))
     def test_centers_bit_identical_to_mask_loop(self, seed):
@@ -263,7 +283,7 @@ class TestKmeans:
                             ((1.0, 0.0), (0.4, 2.5), (2.0, -3.0))])
         got = _kmeans(frames, 8, 10, Rng(seed))
         want, _ = reference_kmeans(frames, 8, 10, Rng(seed))
-        assert np.array_equal(got, want)
+        assert max_rel_diff(got, want) <= REL_TOL
 
     def test_empty_cluster_reseed_bit_identical(self):
         # most frames repeat one row, so the initial draw holds duplicate
@@ -274,7 +294,7 @@ class TestKmeans:
         got = _kmeans(frames, 6, 5, Rng(6))
         want, reseeds = reference_kmeans(frames, 6, 5, Rng(6))
         assert reseeds > 0
-        assert np.array_equal(got, want)
+        assert max_rel_diff(got, want) <= REL_TOL
 
 
 class TestEmFit:
@@ -332,14 +352,17 @@ class TestEmFit:
         frames = np.vstack([gen.normal(size=(400, 4)) * s + off
                             for s, off in
                             ((1.0, 0.0), (0.5, 2.0), (2.0, -3.0))])
-        assert_same_fit(em_fit(frames, 6, 8, Rng(seed)),
-                        reference_em_fit(frames, 6, 8, Rng(seed)))
+        assert_close_fit(em_fit(frames, 6, 8, Rng(seed)),
+                         reference_em_fit(frames, 6, 8, Rng(seed)))
 
     def test_strided_input_fits_like_its_copy(self):
         x = np.random.default_rng(13).normal(size=(3000, 7))
         assert not x[::3].flags.c_contiguous
         assert_same_fit(em_fit(x[::3], 8, 6, Rng(7)),
                         em_fit(x[::3].copy(), 8, 6, Rng(7)))
+        # the layout of a pooled class: the N x D view of a D x N array
+        assert_same_fit(em_fit(np.asfortranarray(x), 8, 6, Rng(7)),
+                        em_fit(x, 8, 6, Rng(7)))
 
     def test_memory_stays_below_a_frames_by_centers_tensor(self):
         import tracemalloc

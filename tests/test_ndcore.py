@@ -11,44 +11,21 @@ from ldekit.ndcore import (
     log_sum_exp_rows,
     softmax_rows,
     sq_dists,
-    sq_norms,
 )
 
 
 class TestSqDists:
-    @staticmethod
-    def direct(frames, centers, inv_var):
-        residuals = frames[:, None, :] - centers[None, :, :]
-        return np.einsum("ncd,cd,ncd->nc", residuals, inv_var, residuals)
-
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_matches_direct_residual_form(self, weighted):
+    def test_matches_direct_residual_form(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
             n, c, d = rng.integers(1, 40), rng.integers(1, 10), rng.integers(1, 30)
             frames = rng.normal(size=(n, d)) * 2.0
             centers = rng.normal(size=(c, d))
-            inv_var = (1.0 / rng.uniform(0.2, 3.0, size=(c, d)) if weighted
-                       else None)
-            ref = self.direct(frames, centers,
-                              np.ones((c, d)) if inv_var is None else inv_var)
-            out = sq_dists(frames, centers, inv_var)
+            residuals = frames[:, None, :] - centers[None, :, :]
+            ref = np.einsum("ncd,ncd->nc", residuals, residuals)
+            out = sq_dists(frames, centers)
             assert out.shape == (n, c)
             assert np.max(np.abs(out - ref) / ref) <= 1e-10
-
-    @pytest.mark.parametrize("weighted", [False, True])
-    @pytest.mark.parametrize("layout", ["rows", "columns"])
-    def test_given_norms_bit_identical(self, weighted, layout):
-        rng = np.random.default_rng(18)
-        frames = rng.normal(size=(37, 9)) * 2.0
-        if layout == "columns":
-            frames = np.asfortranarray(frames)  # as x.T of a D x L sequence
-        centers = rng.normal(size=(5, 9))
-        inv_var = 1.0 / rng.uniform(0.2, 3.0, size=(5, 9)) if weighted else None
-        norms = sq_norms(frames ** 2, np.ones((5, 9)) if inv_var is None
-                         else inv_var)
-        assert np.array_equal(sq_dists(frames, centers, inv_var, norms),
-                              sq_dists(frames, centers, inv_var))
 
 
 class TestSoftmaxRows:
