@@ -203,6 +203,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    if args.iterations < 0:
+        raise UsageError(f"--iterations must be >= 0, got {args.iterations}")
     if len(args.train_scores) != len(args.scores):
         raise UsageError("need one eval scores file per training scores file")
     for path in args.train_scores + args.scores:
@@ -305,8 +307,7 @@ def cmd_gmm(args) -> int:
     _prepare_output(rc.paths.gmm_checkpoint, args.force)
     _prepare_output(rc.paths.gmm_scores, args.force)
     train, num_classes, in_dim = read_corpus(rc.paths.train_corpus)
-    with open(rc.paths.test_corpus, "rb") as fh:
-        k2, d2 = read_header(fh, rc.paths.test_corpus)
+    k2, d2 = read_header(rc.paths.test_corpus)
     if (k2, d2) != (num_classes, in_dim):
         raise CorpusFormatError(
             f"{rc.paths.test_corpus}: header ({k2} classes, dim {d2}) does "

@@ -8,24 +8,26 @@ drawn per class, centered so no class is separable by its global mean
 alone, then rescaled so the mean pairwise center distance exceeds the
 frame noise by a configurable ratio.
 
-Corpus files are record-oriented little-endian binary: a header
-(magic, version, class count, feature dim) followed by one record per
-utterance (id, label, L, D, row-major float64 frames). Identical spec
-and seed reproduce the file byte for byte.
+A corpus file is an `ndcore.write_artifact` file: its JSON head's meta is
+{"kind": "corpus", "num_classes", "feature_dim", "labels"}, one label per
+utterance, and each utterance's D x L frames are one float64 array named
+by its id, in corpus order. Identical spec and seed reproduce the file
+byte for byte.
 """
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ndcore import DimensionError, Rng, atomic_write
-
-MAGIC = b"LDEC"
-FORMAT_VERSION = 1
+from .ndcore import (
+    DimensionError,
+    Rng,
+    read_artifact,
+    read_artifact_head,
+    write_artifact,
+)
 
 # synthetic analogue of short / medium / long duration test buckets,
 # (bucket tag, inclusive frame-length range)
@@ -254,38 +256,31 @@ def make_batches(utts: list[Utterance], batch_size: int, crop_min: int,
 
 def write_corpus(path, utts: list[Utterance], num_classes: int,
                  feature_dim: int) -> None:
-    with atomic_write(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<III", FORMAT_VERSION, num_classes, feature_dim))
-        for u in utts:
-            feats = np.ascontiguousarray(u.features, dtype="<f8")
-            if feats.shape[0] != feature_dim:
-                raise CorpusFormatError(
-                    f"utterance {u.id}: dim {feats.shape[0]} != header "
-                    f"{feature_dim}")
-            ident = u.id.encode("utf-8")
-            fh.write(struct.pack("<I", len(ident)))
-            fh.write(ident)
-            fh.write(struct.pack("<III", u.label, feats.shape[1],
-                                 feats.shape[0]))
-            fh.write(feats.tobytes())
+    for u in utts:
+        if u.features.shape[0] != feature_dim:
+            raise CorpusFormatError(
+                f"utterance {u.id}: dim {u.features.shape[0]} != header "
+                f"{feature_dim}")
+    meta = {"kind": "corpus", "num_classes": num_classes,
+            "feature_dim": feature_dim, "labels": [int(u.label) for u in utts]}
+    write_artifact(path, meta, [(u.id, u.features) for u in utts])
 
 
-def read_header(fh, path) -> tuple[int, int]:
-    """(num_classes, feature_dim) from the corpus header `fh` reads next."""
-    head = fh.read(16)
-    if head[:4] != MAGIC:
-        raise CorpusFormatError(f"{path}: bad magic {head[:4]!r}")
-    if len(head) < 16:
-        raise CorpusFormatError(f"{path}: truncated header")
-    version, num_classes, feature_dim = struct.unpack_from("<III", head, 4)
-    if version != FORMAT_VERSION:
-        raise CorpusFormatError(f"{path}: unsupported version {version}")
-    if num_classes < 2 or feature_dim < 1:
-        raise CorpusFormatError(f"{path}: header declares {num_classes} "
-                                f"classes of dim {feature_dim}; need at least "
-                                f"2 classes of dim >= 1")
+def _corpus_shape(meta: dict, path) -> tuple[int, int]:
+    if meta.get("kind") != "corpus":
+        raise CorpusFormatError(f"{path}: not a corpus")
+    num_classes, feature_dim = meta.get("num_classes"), meta.get("feature_dim")
+    if (type(num_classes) is not int or type(feature_dim) is not int
+            or num_classes < 2 or feature_dim < 1):
+        raise CorpusFormatError(f"{path}: header declares {num_classes!r} "
+                                f"classes of dim {feature_dim!r}; need at "
+                                f"least 2 classes of dim >= 1")
     return num_classes, feature_dim
+
+
+def read_header(path) -> tuple[int, int]:
+    """(num_classes, feature_dim) of a corpus file, from its head alone."""
+    return _corpus_shape(read_artifact_head(path, CorpusFormatError)[0], path)
 
 
 def read_corpus(path) -> tuple[list[Utterance], int, int]:
@@ -294,40 +289,19 @@ def read_corpus(path) -> tuple[list[Utterance], int, int]:
     Frames are read straight into their final arrays, so reading never
     holds a second copy of the file.
     """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        num_classes, feature_dim = read_header(fh, path)
-        utts = []
-        ids = set()
-        while True:
-            record = fh.read(4)
-            if not record:
-                break
-            if len(record) < 4:
-                raise CorpusFormatError(f"{path}: truncated record header")
-            (id_len,) = struct.unpack("<I", record)
-            if fh.tell() + id_len + 12 > size:
-                raise CorpusFormatError(f"{path}: truncated record")
-            record = fh.read(id_len + 12)
-            try:
-                ident = record[:id_len].decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CorpusFormatError(f"{path}: utterance id is not UTF-8: "
-                                        f"{exc}") from exc
-            label, length, dim = struct.unpack_from("<III", record, id_len)
-            if dim != feature_dim:
-                raise CorpusFormatError(f"{path}: record dim {dim} != header "
-                                        f"{feature_dim}")
-            if label >= num_classes:
-                raise CorpusFormatError(f"{path}: label {label} out of range")
-            if ident in ids:
-                raise CorpusFormatError(f"{path}: duplicate utterance id {ident}")
-            ids.add(ident)
-            if fh.tell() + dim * length * 8 > size:
-                raise CorpusFormatError(f"{path}: truncated frame data for {ident}")
-            feats = np.empty((dim, length), dtype="<f8")
-            if fh.readinto(feats) != feats.nbytes:
-                raise CorpusFormatError(f"{path}: truncated frame data for {ident}")
-            utts.append(Utterance(id=ident, label=label,
-                                  features=feats.astype(np.float64, copy=False)))
+    meta, arrays = read_artifact(path, CorpusFormatError)
+    num_classes, feature_dim = _corpus_shape(meta, path)
+    labels = meta.get("labels")
+    if not isinstance(labels, list) or len(labels) != len(arrays):
+        raise CorpusFormatError(f"{path}: labels do not match the "
+                                f"{len(arrays)} utterances")
+    utts = []
+    for (ident, feats), label in zip(arrays.items(), labels):
+        if type(label) is not int or not 0 <= label < num_classes:
+            raise CorpusFormatError(f"{path}: label {label!r} of {ident} out "
+                                    f"of range")
+        if feats.ndim != 2 or feats.shape[0] != feature_dim:
+            raise CorpusFormatError(f"{path}: {ident} has shape {feats.shape}, "
+                                    f"expected ({feature_dim}, L)")
+        utts.append(Utterance(id=ident, label=label, features=feats))
     return utts, num_classes, feature_dim

@@ -6,11 +6,18 @@ a counter-based Philox generator that can be split into independent,
 reproducible child streams so data generation, parameter init and batch
 cropping never perturb each other's draws. Every artifact file is written
 through `atomic_write`, so a failed write never leaves a partial file.
+
+Corpora, model checkpoints and mixture banks share one file format, a
+JSON head plus named float64 arrays, written by `write_artifact` and read
+by `read_artifact` (`read_artifact_head` reads the head alone).
 """
 
 from __future__ import annotations
 
+import json
+import math
 import os
+import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -35,6 +42,95 @@ def atomic_write(path, mode: str = "w"):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+ARTIFACT_MAGIC = b"LDEA"
+ARTIFACT_VERSION = 1
+_PREFIX = struct.Struct("<4sIQ")  # magic, version, head byte count
+
+
+def write_artifact(path, meta: dict, arrays: list) -> None:
+    """Writes `meta` and the named arrays, a list of (name, array) pairs,
+    as one file through `atomic_write`: magic, version, the head's byte
+    count, the UTF-8 JSON head {"meta": meta, "arrays": [[name, shape],
+    ...]}, then each array's little-endian float64 values, row-major, in
+    head order. The same meta and arrays give the same bytes."""
+    head = json.dumps({"meta": meta,
+                       "arrays": [[name, a.shape] for name, a in arrays]},
+                      sort_keys=True).encode("utf-8")
+    with atomic_write(path, "wb") as fh:
+        fh.write(_PREFIX.pack(ARTIFACT_MAGIC, ARTIFACT_VERSION, len(head)))
+        fh.write(head)
+        for _, a in arrays:
+            fh.write(np.ascontiguousarray(a, dtype="<f8"))
+
+
+def _read_head(fh, path, error) -> tuple[dict, list]:
+    """The meta and the (name, shape) list of the artifact open in `fh`,
+    left at its first array. Raises `error` for anything but a well-formed
+    head whose arrays, with unique names, fill the rest of the file
+    exactly, so nothing is allocated for sizes the file does not hold."""
+    size = os.fstat(fh.fileno()).st_size
+    prefix = fh.read(_PREFIX.size)
+    if prefix[:4] != ARTIFACT_MAGIC:
+        raise error(f"{path}: bad magic {prefix[:4]!r}")
+    if len(prefix) < _PREFIX.size:
+        raise error(f"{path}: truncated header")
+    _, version, head_len = _PREFIX.unpack(prefix)
+    if version != ARTIFACT_VERSION:
+        raise error(f"{path}: unsupported version {version}")
+    if head_len > size - _PREFIX.size:
+        raise error(f"{path}: truncated head")
+    try:
+        head = json.loads(fh.read(head_len).decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: head is not UTF-8: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: corrupt head: {exc}") from exc
+    entries = head.get("arrays") if isinstance(head, dict) else None
+    # a shape has at most 32 dims, the most that numpy 1.x allows
+    if not (isinstance(entries, list) and isinstance(head.get("meta"), dict)
+            and all(isinstance(e, list) and len(e) == 2 and type(e[0]) is str
+                    and isinstance(e[1], list) and len(e[1]) <= 32
+                    and all(type(n) is int and n >= 0 for n in e[1])
+                    for e in entries)):
+        raise error(f"{path}: head is not a meta object and a list of "
+                    f"[name, shape] entries")
+    if len({name for name, _ in entries}) != len(entries):
+        raise error(f"{path}: duplicate array names")
+    need = 8 * sum(math.prod(shape) for _, shape in entries)
+    have = size - _PREFIX.size - head_len
+    if need > have:
+        raise error(f"{path}: truncated: the head declares {need} bytes of "
+                    f"arrays, {have} follow")
+    if need < have:
+        raise error(f"{path}: {have - need} trailing bytes after the last "
+                    f"array")
+    return head["meta"], [(name, tuple(shape)) for name, shape in entries]
+
+
+def read_artifact_head(path, error) -> tuple[dict, list]:
+    """The meta and the [(name, shape), ...] of a `write_artifact` file,
+    checked as `read_artifact` checks them, without reading any array.
+    A malformed file raises `error` (an exception class)."""
+    with open(path, "rb") as fh:
+        return _read_head(fh, path, error)
+
+
+def read_artifact(path, error) -> tuple[dict, dict[str, np.ndarray]]:
+    """The meta and the named arrays, in file order, of a `write_artifact`
+    file. Each array is read straight into its own allocation, so reading
+    never holds a second copy of the file. A malformed file raises `error`
+    (an exception class)."""
+    with open(path, "rb") as fh:
+        meta, shapes = _read_head(fh, path, error)
+        arrays = {}
+        for name, shape in shapes:
+            arr = np.empty(shape, dtype="<f8")
+            if fh.readinto(arr) != arr.nbytes:
+                raise error(f"{path}: truncated array {name}")
+            arrays[name] = arr.astype(np.float64, copy=False)
+    return meta, arrays
 
 
 def sq_dists(frames: np.ndarray, centers: np.ndarray) -> np.ndarray:

@@ -8,14 +8,14 @@ and backward one slice of whole members at a time, each slice at most
 SLICE_FRAMES crop frames: the step is bound by memory traffic, not by
 FLOPs, and small slices keep each convolution's im2col patch matrix
 near cache size at every crop length (see `batch_loss`). A checkpoint, of
-a model or of a mixture bank, is a little-endian binary file of a JSON
-meta block and named float64 parameters, so a reload is bit for bit.
+a model or of a mixture bank, is an `ndcore.write_artifact` file: the JSON
+head's meta (its "kind", "model" or "gmm", and what rebuilds the model or
+the bank) plus one float64 array per parameter, named as the parameter,
+so a reload is bit for bit.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
@@ -26,11 +26,15 @@ from .data import make_batches
 from .encoding import Dictionary, LdeConfig, lde_backward, lde_forward, tap_forward
 from .frontend import ConvSpec, Frontend, StageSpec
 from .gmm import GmmModel
-from .ndcore import DimensionError, Param, Rng, atomic_write, cross_entropy
-
-CKPT_MAGIC = b"LDEK"
-CKPT_VERSION = 1
-CKPT_SECTIONS = (b"meta", b"params")  # every checkpoint holds both, in order
+from .ndcore import (
+    DimensionError,
+    Param,
+    Rng,
+    atomic_write,
+    cross_entropy,
+    read_artifact,
+    write_artifact,
+)
 
 ENCODER_TAP = "tap"
 ENCODER_LDE = "lde"
@@ -362,49 +366,6 @@ def train_model(model: Model, utts, cfg: SgdConfig, rng: Rng,
     return history
 
 
-# ---------------------------------------------------------------------------
-# checkpoint file format: magic, version, then (tag, payload) sections
-
-def _pack_block(data: bytes) -> bytes:
-    return struct.pack("<Q", len(data)) + data
-
-
-def _pack_params(params: list[Param]) -> bytes:
-    out = [struct.pack("<I", len(params))]
-    for p in params:
-        name = p.name.encode("utf-8")
-        arr = np.ascontiguousarray(p.value, dtype="<f8")
-        out.append(struct.pack("<I", len(name)))
-        out.append(name)
-        out.append(struct.pack("<I", arr.ndim))
-        out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        out.append(arr.tobytes())
-    return b"".join(out)
-
-
-def _unpack_params(blob: bytes, path) -> dict[str, np.ndarray]:
-    try:
-        (count,) = struct.unpack_from("<I", blob, 0)
-        off = 4
-        out = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<I", blob, off)
-            off += 4
-            name = blob[off:off + name_len].decode("utf-8")
-            off += name_len
-            (ndim,) = struct.unpack_from("<I", blob, off)
-            off += 4
-            shape = struct.unpack_from(f"<{ndim}I", blob, off)
-            off += 4 * ndim
-            n = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(blob, dtype="<f8", count=n, offset=off)
-            out[name] = arr.reshape(shape).copy()
-            off += n * 8
-        return out
-    except (struct.error, ValueError) as exc:
-        raise CheckpointError(f"{path}: corrupt parameters: {exc}") from exc
-
-
 @dataclass
 class Checkpoint:
     meta: dict
@@ -412,51 +373,11 @@ class Checkpoint:
 
 
 def save_checkpoint(path, meta: dict, params: list[Param]) -> None:
-    payloads = (json.dumps(meta, sort_keys=True).encode("utf-8"),
-                _pack_params(params))
-    with atomic_write(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<II", CKPT_VERSION, len(CKPT_SECTIONS)))
-        for tag, payload in zip(CKPT_SECTIONS, payloads):
-            fh.write(struct.pack("<I", len(tag)))
-            fh.write(tag)
-            fh.write(_pack_block(payload))
+    write_artifact(path, meta, [(p.name, p.value) for p in params])
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CKPT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic {blob[:4]!r}")
-    try:
-        version, num_sections = struct.unpack_from("<II", blob, 4)
-        if version != CKPT_VERSION:
-            raise CheckpointError(f"{path}: unsupported version {version}")
-        if num_sections != len(CKPT_SECTIONS):
-            raise CheckpointError(f"{path}: {num_sections} sections, "
-                                  f"expected meta and params")
-        off, payloads = 12, []
-        for want in CKPT_SECTIONS:
-            (tag_len,) = struct.unpack_from("<I", blob, off)
-            tag = blob[off + 4:off + 4 + tag_len]
-            (size,) = struct.unpack_from("<Q", blob, off + 4 + tag_len)
-            if tag != want:
-                raise CheckpointError(
-                    f"{path}: section {tag!r} where {want!r} belongs")
-            off += 12 + tag_len
-            if off + size > len(blob):
-                raise CheckpointError(f"{path}: truncated section {tag!r}")
-            payloads.append(blob[off:off + size])
-            off += size
-    except struct.error as exc:
-        raise CheckpointError(f"{path}: truncated: {exc}") from exc
-    try:
-        meta = json.loads(payloads[0].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: corrupt meta: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise CheckpointError(f"{path}: meta is not a JSON object")
-    return Checkpoint(meta=meta, params=_unpack_params(payloads[1], path))
+    return Checkpoint(*read_artifact(path, CheckpointError))
 
 
 def _checked_params(path, kind: str, expect) -> Checkpoint:

@@ -502,6 +502,16 @@ def test_fuse_count_mismatch(workspace, capsys):
     assert "one eval scores file per" in capsys.readouterr().err
 
 
+def test_fuse_negative_iterations_is_usage_error(workspace, capsys):
+    tmp_path, config = trained(workspace)
+    a = eval_scores(tmp_path, str(tmp_path / "data" / "test.bin"), "a.txt")
+    fused = tmp_path / "runs" / "f.txt"
+    assert main(["fuse", "--train-scores", a, "--scores", a,
+                 "--out", str(fused), "--iterations", "-3"]) == 1
+    assert "--iterations must be >= 0" in capsys.readouterr().err
+    assert not fused.exists()
+
+
 def test_fuse_id_mismatch(workspace, capsys):
     tmp_path, config = trained(workspace)
     a = eval_scores(tmp_path, str(tmp_path / "data" / "test.bin"), "a.txt")
@@ -568,7 +578,8 @@ sdc_blocks = 2
 
 def test_gmm_truncated_corpus_header(workspace, capsys):
     tmp_path, config = workspace
-    (tmp_path / "data" / "train.bin").write_bytes(b"LDEC\x01\x00")
+    corpus = tmp_path / "data" / "train.bin"
+    corpus.write_bytes(corpus.read_bytes()[:6])
     code = main(["gmm", "--config", config])
     assert code == 2
     assert "data error" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from ldekit.data import (
     sdc_shape,
     write_corpus,
 )
-from ldekit.ndcore import DimensionError, Rng
+from ldekit.ndcore import ARTIFACT_VERSION, DimensionError, Rng
 
 
 def small_spec(**kw):
@@ -306,10 +307,10 @@ class TestCorpusFile:
         spec = SyntheticSpec(train_utterances=40, test_utterances=20, seed=3)
         train, test = generate_corpus(spec)
         expected = {
-            "train": "1cdf6a83ad2bcf2cbf477bd4a4145d74"
-                     "e8ac9455d8555424629d3b3d0cb50258",
-            "test": "bddbdb927a4fe76260a078cb20a94909"
-                    "66825aa980ce12a4277a73ac8acc084b",
+            "train": "b6fbc3933a1f2d55e27244eb4622489a"
+                     "c1d4cec8b8cb378b61bd9dba86014790",
+            "test": "0dd0951b666ced2b949426bac5412b90"
+                    "011ecd2ba93e04655bd6f3219a4e024f",
         }
         for name, utts in (("train", train), ("test", test)):
             path = tmp_path / f"{name}.bin"
@@ -347,18 +348,26 @@ class TestCorpusFile:
         with pytest.raises(CorpusFormatError, match="magic"):
             read_corpus(path)
 
+    @staticmethod
+    def one_utterance_file(path) -> bytes:
+        write_corpus(path, [Utterance("u0", 0, np.ones((2, 5)))], 2, 2)
+        return path.read_bytes()
+
     @pytest.mark.parametrize("length", range(4, 16))
     def test_truncated_header(self, tmp_path, length):
         path = tmp_path / "short.bin"
-        path.write_bytes((b"LDEC" + b"\x01" + b"\0" * 11)[:length])
+        blob = self.one_utterance_file(path)
+        assert length < blob.index(b'{"arrays"')  # a cut before the head
+        path.write_bytes(blob[:length])
         with pytest.raises(CorpusFormatError, match="truncated header"):
             read_corpus(path)
 
     def test_bad_version(self, tmp_path):
-        import struct
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"LDEC" + struct.pack("<III", 99, 2, 3))
-        with pytest.raises(CorpusFormatError, match="version"):
+        path = tmp_path / "c.bin"
+        blob = self.one_utterance_file(path)
+        at = blob.index(struct.pack("<I", ARTIFACT_VERSION))
+        path.write_bytes(blob[:at] + struct.pack("<I", 99) + blob[at + 4:])
+        with pytest.raises(CorpusFormatError, match="unsupported version 99"):
             read_corpus(path)
 
     def test_truncated_file(self, tmp_path):
@@ -371,17 +380,20 @@ class TestCorpusFile:
             read_corpus(path)
 
     def test_oversized_lengths_are_truncation(self, tmp_path):
-        # a corrupt length field is reported before anything that large
-        # is read or allocated
-        import struct
-        head = b"LDEC" + struct.pack("<III", 1, 2, 2)
+        # a corrupt length is reported before anything that large is read
+        # or allocated; the head's byte count is the 8 bytes before it
         path = tmp_path / "big.bin"
-        path.write_bytes(head + struct.pack("<I", 2**31) + b"u0")
-        with pytest.raises(CorpusFormatError, match="truncated record"):
+        blob = self.one_utterance_file(path)
+        at = blob.index(b'{"arrays"')
+        (count,) = struct.unpack_from("<Q", blob, at - 8)
+        path.write_bytes(blob[:at - 8] + struct.pack("<Q", 2**62) + blob[at:])
+        with pytest.raises(CorpusFormatError, match="truncated head"):
             read_corpus(path)
-        path.write_bytes(head + struct.pack("<I", 2) + b"u0"
-                         + struct.pack("<III", 0, 2**31, 2))
-        with pytest.raises(CorpusFormatError, match="truncated frame data"):
+        head = blob[at:at + count].replace(b"[2, 5]", b"[2, 2147483648]")
+        path.write_bytes(blob[:at - 8] + struct.pack("<Q", len(head)) + head
+                         + blob[at + count:])
+        with pytest.raises(CorpusFormatError,
+                           match="truncated: the head declares 34359738368"):
             read_corpus(path)
 
     def test_duplicate_id_rejected(self, tmp_path):
@@ -398,7 +410,7 @@ class TestCorpusFile:
             write_corpus(tmp_path / "m.bin", utts, 2, 2)
 
     def test_failed_write_leaves_no_file(self, tmp_path):
-        # the first record is written before the second one fails
+        # the second utterance's dim disagrees with the header
         utts = [Utterance("u0", 0, np.ones((2, 4))),
                 Utterance("u1", 1, np.ones((3, 4)))]
         with pytest.raises(CorpusFormatError):

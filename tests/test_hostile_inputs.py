@@ -2,6 +2,9 @@
 a small valid file: each copy either loads or raises its format's typed
 error, and the CLI turns that error into exit code 2."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -63,6 +66,12 @@ FORMATS = {
 }
 
 
+# the three kinds that share ndcore's artifact format, and the words each
+# loader rejects another kind's file with
+ARTIFACT_KINDS = {"bank": "not a gmm checkpoint", "corpus": "not a corpus",
+                  "model": "not a model checkpoint"}
+
+
 def hostile_copies(blob: bytes, rng: Rng):
     """Every proper prefix, then FLIPS copies with one byte XOR-ed by a
     random non-zero mask at a random position."""
@@ -95,6 +104,65 @@ def test_hostile_copies_load_or_raise_the_typed_error(tmp_path, fmt):
     assert escapes == []
 
 
+@pytest.mark.parametrize("fmt", sorted(ARTIFACT_KINDS))
+def test_bytes_after_the_last_array_rejected(tmp_path, fmt):
+    write, load, error = FORMATS[fmt]
+    path = tmp_path / f"long.{fmt}"
+    write(path)
+    path.write_bytes(path.read_bytes() + bytes(16))
+    with pytest.raises(error, match="16 trailing bytes after the last array"):
+        load(path)
+
+
+@pytest.mark.parametrize("fmt, other", [(fmt, other)
+                                        for fmt in sorted(ARTIFACT_KINDS)
+                                        for other in sorted(ARTIFACT_KINDS)
+                                        if other != fmt])
+def test_loader_rejects_another_kind(tmp_path, fmt, other):
+    _, load, error = FORMATS[fmt]
+    write_other, _, _ = FORMATS[other]
+    path = tmp_path / f"file.{other}"
+    write_other(path)
+    with pytest.raises(error, match=ARTIFACT_KINDS[fmt]):
+        load(path)
+
+
+def former_corpus():
+    """The earlier corpus layout: magic, version, class count and dim, then
+    per utterance its id, label, L, D and frames."""
+    return (b"LDEC" + struct.pack("<III", 1, 2, 1)
+            + struct.pack("<I", 2) + b"u0" + struct.pack("<III", 0, 1, 1)
+            + np.ones(1).tobytes())
+
+
+def former_checkpoint(meta):
+    """The earlier checkpoint layout: magic, version, section count, then
+    a JSON meta section and a params section, here of no parameters."""
+    blob = b"LDEK" + struct.pack("<II", 1, 2)
+    for tag, payload in ((b"meta", json.dumps(meta).encode()),
+                         (b"params", struct.pack("<I", 0))):
+        blob += struct.pack("<I", len(tag)) + tag
+        blob += struct.pack("<Q", len(payload)) + payload
+    return blob
+
+
+FORMER_LAYOUTS = {
+    "bank": former_checkpoint({"kind": "gmm", "num_classes": 0}),
+    "corpus": former_corpus(),
+    "model": former_checkpoint({"kind": "model"}),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMER_LAYOUTS))
+def test_former_layouts_rejected_for_their_magic(tmp_path, fmt):
+    _, load, error = FORMATS[fmt]
+    blob = FORMER_LAYOUTS[fmt]
+    path = tmp_path / f"former.{fmt}"
+    path.write_bytes(blob)
+    with pytest.raises(error, match=f"bad magic {blob[:4]!r}"):
+        load(path)
+
+
 @pytest.fixture
 def small_files(tmp_path):
     write_model(tmp_path / "model.ckpt")
@@ -122,7 +190,8 @@ def test_cli_truncated_checkpoint_exits_2(small_files, capsys):
 
 def test_cli_corpus_id_not_utf8_exits_2(small_files, capsys):
     corpus = small_files / "test.bin"
-    corrupt(corpus, 16 + 4, 0xD2)  # first byte of the first utterance id
+    # the first byte of the first utterance id, in the file's JSON head
+    corrupt(corpus, corpus.read_bytes().index(b"u0#short"), 0xD2)
     config = small_files / "run.ini"
     config.write_text(
         f"[gmm]\ncomponents = 1\niterations = 1\nuse_sdc = false\n"
