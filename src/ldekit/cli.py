@@ -28,7 +28,7 @@ from .data import (
     CorpusFormatError,
     Utterance,
     duration_bucket,
-    generate_corpus,
+    generate_split,
     read_corpus,
     read_header,
     sdc,
@@ -151,11 +151,10 @@ def cmd_gen_data(args) -> int:
         test_path = rc.paths.test_corpus
     _prepare_output(train_path, args.force)
     _prepare_output(test_path, args.force)
-    train, test = generate_corpus(rc.data)
-    write_corpus(train_path, train, rc.data.num_classes, rc.data.feature_dim)
-    write_corpus(test_path, test, rc.data.num_classes, rc.data.feature_dim)
-    print(f"wrote {len(train)} train utterances to {train_path}")
-    print(f"wrote {len(test)} test utterances to {test_path}")
+    for split, path in (("train", train_path), ("test", test_path)):
+        count = write_corpus(path, generate_split(rc.data, split),
+                             rc.data.num_classes, rc.data.feature_dim)
+        print(f"wrote {count} {split} utterances to {path}")
     return 0
 
 
@@ -263,21 +262,26 @@ def _pooled_class_frames(utts: list[Utterance], g) -> np.ndarray:
     return pool.T
 
 
-def fit_gmm_bank(utts: list[Utterance], num_classes: int, g
+def fit_gmm_bank(train, num_classes: int, g
                  ) -> tuple[list[GmmModel], list[list[float]], list[int]]:
     """Per-class EM mixtures on pooled features, thinned by an even stride
     to `max_frames_per_class`; returns the models, their log-likelihood
-    histories and the frame counts they were fit on. One class at a time,
-    in corpus order: each class's kept frames are pooled straight into one
-    preallocated array (`_pooled_class_frames`), which is all of its
-    features that its fit holds."""
+    histories and the frame counts they were fit on. `train` is the
+    training utterances, or the path of a corpus file, which is then read
+    one class at a time. One class at a time, in corpus order: each
+    class's kept frames are pooled straight into one preallocated array
+    (`_pooled_class_frames`), and its utterances are dropped before the
+    next class's are gathered."""
     rng = Rng(g.seed)
     models, histories, counts = [], [], []
     for k in range(num_classes):
-        members = [u for u in utts if u.label == k]
+        members = (read_corpus(train, k)[0]
+                   if isinstance(train, (str, os.PathLike))
+                   else [u for u in train if u.label == k])
         if not members:
             raise CorpusFormatError(f"no training utterances for class L{k}")
         frames = _pooled_class_frames(members, g)
+        del members
         model, history = em_fit(frames, g.components, g.iterations,
                                 rng.split(k))
         models.append(model)
@@ -297,24 +301,26 @@ def score_gmm_bank(models: list[GmmModel], utts: list[Utterance],
 
 
 def cmd_gmm(args) -> int:
-    """Fits the bank on the train corpus, drops it, then reads and scores
-    the test corpus, so the two corpora are never held together. The test
-    corpus's header is checked against the train corpus's before the fit,
-    and no artifact is written unless every test utterance scores."""
+    """Fits the bank on the train corpus, read one class at a time, then
+    reads and scores the test corpus, so no two classes' training
+    utterances, and no training utterance and the test corpus, are held
+    together. The test corpus's header is checked against the train
+    corpus's before the fit, and no artifact is written unless every test
+    utterance scores."""
     rc = load_config(args.config)
     _require_file(rc.paths.train_corpus, "train corpus")
     _require_file(rc.paths.test_corpus, "test corpus")
     _prepare_output(rc.paths.gmm_checkpoint, args.force)
     _prepare_output(rc.paths.gmm_scores, args.force)
-    train, num_classes, in_dim = read_corpus(rc.paths.train_corpus)
+    num_classes, in_dim = read_header(rc.paths.train_corpus)
     k2, d2 = read_header(rc.paths.test_corpus)
     if (k2, d2) != (num_classes, in_dim):
         raise CorpusFormatError(
             f"{rc.paths.test_corpus}: header ({k2} classes, dim {d2}) does "
             f"not match the train corpus ({num_classes}, dim {in_dim})")
     g = rc.gmm
-    models, histories, counts = fit_gmm_bank(train, num_classes, g)
-    del train
+    models, histories, counts = fit_gmm_bank(rc.paths.train_corpus,
+                                             num_classes, g)
     for k, (history, count) in enumerate(zip(histories, counts)):
         print(f"class L{k}: {g.components} components on "
               f"{count} frames, final avg ll {history[-1] / count:.5f}")

@@ -17,6 +17,7 @@ byte for byte.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,6 @@ from .ndcore import (
     DimensionError,
     Rng,
     read_artifact,
-    read_artifact_head,
     write_artifact,
 )
 
@@ -153,31 +153,34 @@ def _draw_length(spec: SyntheticSpec, rng: Rng, bucketed: bool):
     return rng.integers(lo, hi), tag
 
 
-def generate_corpus(spec: SyntheticSpec) -> tuple[list[Utterance], list[Utterance]]:
-    """Deterministic train/test utterance sets with disjoint ids.
+def generate_split(spec: SyntheticSpec, split: str) -> Iterator[Utterance]:
+    """The utterances of split "train" or "test", one at a time, in corpus
+    order; labels cycle through the classes, so each split is balanced.
 
     Test utterances carry a duration bucket tag in their id (after '#')
     when bucketed_test is set.
     """
+    prefix, stream, count, bucketed = {
+        "train": ("tr", 1, spec.train_utterances, False),
+        "test": ("te", 2, spec.test_utterances, spec.bucketed_test)}[split]
     root = Rng(spec.seed)
     gens = _build_generators(spec, root.split(0))
+    rng = root.split(stream)
+    for i in range(count):
+        label = i % spec.num_classes
+        length, tag = _draw_length(spec, rng, bucketed)
+        feats = _sample_utterance(gens[label], length, spec.noise_std, rng)
+        uid = f"{prefix}{i:05d}"
+        if tag is not None:
+            uid = f"{uid}{BUCKET_SEP}{tag}"
+        yield Utterance(id=uid, label=label, features=feats)
 
-    def make_split(prefix, count, stream, bucketed):
-        rng = root.split(stream)
-        utts = []
-        for i in range(count):
-            label = i % spec.num_classes  # balanced splits
-            length, tag = _draw_length(spec, rng, bucketed)
-            feats = _sample_utterance(gens[label], length, spec.noise_std, rng)
-            uid = f"{prefix}{i:05d}"
-            if tag is not None:
-                uid = f"{uid}{BUCKET_SEP}{tag}"
-            utts.append(Utterance(id=uid, label=label, features=feats))
-        return utts
 
-    train = make_split("tr", spec.train_utterances, 1, bucketed=False)
-    test = make_split("te", spec.test_utterances, 2, bucketed=spec.bucketed_test)
-    return train, test
+def generate_corpus(spec: SyntheticSpec) -> tuple[list[Utterance], list[Utterance]]:
+    """Deterministic train/test utterance lists with disjoint ids, as
+    `generate_split` yields them."""
+    return (list(generate_split(spec, "train")),
+            list(generate_split(spec, "test")))
 
 
 def crop_or_extend(utt: Utterance, target_len: int, rng: Rng) -> np.ndarray:
@@ -254,16 +257,26 @@ def make_batches(utts: list[Utterance], batch_size: int, crop_min: int,
         yield feats, labels
 
 
-def write_corpus(path, utts: list[Utterance], num_classes: int,
-                 feature_dim: int) -> None:
-    for u in utts:
-        if u.features.shape[0] != feature_dim:
-            raise CorpusFormatError(
-                f"utterance {u.id}: dim {u.features.shape[0]} != header "
-                f"{feature_dim}")
+def write_corpus(path, utts: Iterable[Utterance], num_classes: int,
+                 feature_dim: int) -> int:
+    """Writes the utterances, any iterable of them, and returns how many
+    there were. Each one's frames are written as it comes, so a generator
+    of utterances is never held whole."""
+    labels = []
     meta = {"kind": "corpus", "num_classes": num_classes,
-            "feature_dim": feature_dim, "labels": [int(u.label) for u in utts]}
-    write_artifact(path, meta, [(u.id, u.features) for u in utts])
+            "feature_dim": feature_dim, "labels": labels}
+
+    def arrays():
+        for u in utts:
+            if u.features.shape[0] != feature_dim:
+                raise CorpusFormatError(
+                    f"utterance {u.id}: dim {u.features.shape[0]} != header "
+                    f"{feature_dim}")
+            labels.append(int(u.label))
+            yield u.id, u.features
+
+    write_artifact(path, meta, arrays())
+    return len(labels)
 
 
 def _corpus_shape(meta: dict, path) -> tuple[int, int]:
@@ -280,28 +293,38 @@ def _corpus_shape(meta: dict, path) -> tuple[int, int]:
 
 def read_header(path) -> tuple[int, int]:
     """(num_classes, feature_dim) of a corpus file, from its head alone."""
-    return _corpus_shape(read_artifact_head(path, CorpusFormatError)[0], path)
+    meta, _ = read_artifact(path, CorpusFormatError,
+                            lambda meta, shapes: [False] * len(shapes))
+    return _corpus_shape(meta, path)
 
 
-def read_corpus(path) -> tuple[list[Utterance], int, int]:
-    """Returns (utterances, num_classes, feature_dim).
+def read_corpus(path, label: int | None = None
+                ) -> tuple[list[Utterance], int, int]:
+    """Returns (utterances, num_classes, feature_dim); with `label`, the
+    utterances of that class only, in corpus order.
 
-    Frames are read straight into their final arrays, so reading never
-    holds a second copy of the file.
+    The whole head is checked first: every label and every utterance's
+    shape. Frames are then read straight into their final arrays, so
+    reading never holds a second copy of the file, and the other classes'
+    frames are seeked past.
     """
-    meta, arrays = read_artifact(path, CorpusFormatError)
-    num_classes, feature_dim = _corpus_shape(meta, path)
-    labels = meta.get("labels")
-    if not isinstance(labels, list) or len(labels) != len(arrays):
-        raise CorpusFormatError(f"{path}: labels do not match the "
-                                f"{len(arrays)} utterances")
-    utts = []
-    for (ident, feats), label in zip(arrays.items(), labels):
-        if type(label) is not int or not 0 <= label < num_classes:
-            raise CorpusFormatError(f"{path}: label {label!r} of {ident} out "
-                                    f"of range")
-        if feats.ndim != 2 or feats.shape[0] != feature_dim:
-            raise CorpusFormatError(f"{path}: {ident} has shape {feats.shape}, "
-                                    f"expected ({feature_dim}, L)")
-        utts.append(Utterance(id=ident, label=label, features=feats))
-    return utts, num_classes, feature_dim
+    def keep(meta, shapes):
+        num_classes, feature_dim = _corpus_shape(meta, path)
+        labels = meta.get("labels")
+        if not isinstance(labels, list) or len(labels) != len(shapes):
+            raise CorpusFormatError(f"{path}: labels do not match the "
+                                    f"{len(shapes)} utterances")
+        for (ident, shape), lab in zip(shapes, labels):
+            if type(lab) is not int or not 0 <= lab < num_classes:
+                raise CorpusFormatError(f"{path}: label {lab!r} of {ident} "
+                                        f"out of range")
+            if len(shape) != 2 or shape[0] != feature_dim:
+                raise CorpusFormatError(f"{path}: {ident} has shape {shape}, "
+                                        f"expected ({feature_dim}, L)")
+        return [label is None or lab == label for lab in labels]
+
+    meta, arrays = read_artifact(path, CorpusFormatError, keep)
+    labels = [lab for lab in meta["labels"] if label is None or lab == label]
+    utts = [Utterance(id=ident, label=lab, features=feats)
+            for (ident, feats), lab in zip(arrays.items(), labels)]
+    return utts, meta["num_classes"], meta["feature_dim"]

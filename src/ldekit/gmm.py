@@ -135,9 +135,14 @@ def _assign(centers: np.ndarray, x: np.ndarray
     """C x N one-hot of each of the D x N frames' nearest center, and the
     C x N scores mu . x - ||mu||^2 / 2 it maximizes: -||x - mu||^2 / 2 up
     to each frame's own ||x||^2 / 2. One product with the one-hot gives
-    every cluster's sum, so no cluster's members are gathered."""
+    every cluster's sum, so no cluster's members are gathered. Ties go to
+    the lowest center, as `argmax` breaks them; `argmax` over the C rows
+    itself runs slower than C row comparisons with their maximum."""
     score = _expand(centers, None, -0.5 * (centers ** 2).sum(axis=1), x, None)
-    nearest = score.argmax(axis=0)
+    top = score.max(axis=0)
+    nearest = np.zeros(score.shape[1], dtype=np.intp)
+    for c in range(len(centers) - 1, -1, -1):
+        np.copyto(nearest, c, where=score[c] == top)
     onehot = np.arange(len(centers))[:, None] == nearest
     return onehot.astype(np.float64), score
 

@@ -8,8 +8,10 @@ cropping never perturb each other's draws. Every artifact file is written
 through `atomic_write`, so a failed write never leaves a partial file.
 
 Corpora, model checkpoints and mixture banks share one file format, a
-JSON head plus named float64 arrays, written by `write_artifact` and read
-by `read_artifact` (`read_artifact_head` reads the head alone).
+JSON head plus named float64 arrays, written by `write_artifact` from any
+iterable of arrays, one at a time, and read by `read_artifact`, which
+seeks past the arrays its caller does not want, all of them for a
+head-only read.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 import struct
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -49,20 +53,28 @@ ARTIFACT_VERSION = 1
 _PREFIX = struct.Struct("<4sIQ")  # magic, version, head byte count
 
 
-def write_artifact(path, meta: dict, arrays: list) -> None:
-    """Writes `meta` and the named arrays, a list of (name, array) pairs,
-    as one file through `atomic_write`: magic, version, the head's byte
-    count, the UTF-8 JSON head {"meta": meta, "arrays": [[name, shape],
-    ...]}, then each array's little-endian float64 values, row-major, in
-    head order. The same meta and arrays give the same bytes."""
-    head = json.dumps({"meta": meta,
-                       "arrays": [[name, a.shape] for name, a in arrays]},
-                      sort_keys=True).encode("utf-8")
-    with atomic_write(path, "wb") as fh:
+def write_artifact(path, meta: dict, arrays) -> None:
+    """Writes `meta` and the named arrays, any iterable of (name, array)
+    pairs, as one file through `atomic_write`: magic, version, the head's
+    byte count, the UTF-8 JSON head {"meta": meta, "arrays": [[name,
+    shape], ...]}, then each array's little-endian float64 values,
+    row-major, in head order. The same meta and arrays give the same bytes.
+    Each array is spooled to an unnamed file beside `path` as it comes, so
+    a generator of arrays is never held whole; the head is encoded after
+    the last array, so that generator may still fill in `meta`."""
+    entries = []
+    with atomic_write(path, "wb") as fh, tempfile.TemporaryFile(
+            dir=os.path.dirname(os.path.abspath(path))) as spool:
+        for name, a in arrays:
+            a = np.asarray(a, dtype="<f8", order="C")
+            spool.write(a)
+            entries.append([name, a.shape])
+        head = json.dumps({"meta": meta, "arrays": entries},
+                          sort_keys=True).encode("utf-8")
         fh.write(_PREFIX.pack(ARTIFACT_MAGIC, ARTIFACT_VERSION, len(head)))
         fh.write(head)
-        for _, a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8"))
+        spool.seek(0)
+        shutil.copyfileobj(spool, fh)
 
 
 def _read_head(fh, path, error) -> tuple[dict, list]:
@@ -109,23 +121,25 @@ def _read_head(fh, path, error) -> tuple[dict, list]:
     return head["meta"], [(name, tuple(shape)) for name, shape in entries]
 
 
-def read_artifact_head(path, error) -> tuple[dict, list]:
-    """The meta and the [(name, shape), ...] of a `write_artifact` file,
-    checked as `read_artifact` checks them, without reading any array.
-    A malformed file raises `error` (an exception class)."""
-    with open(path, "rb") as fh:
-        return _read_head(fh, path, error)
-
-
-def read_artifact(path, error) -> tuple[dict, dict[str, np.ndarray]]:
+def read_artifact(path, error, keep=None
+                  ) -> tuple[dict, dict[str, np.ndarray]]:
     """The meta and the named arrays, in file order, of a `write_artifact`
     file. Each array is read straight into its own allocation, so reading
     never holds a second copy of the file. A malformed file raises `error`
-    (an exception class)."""
+    (an exception class).
+
+    `keep`, when given, is called with the meta and the [(name, shape),
+    ...] list once the whole head and the file's size have been checked,
+    and returns one flag per array: only the flagged arrays are read, and
+    the others are seeked past."""
     with open(path, "rb") as fh:
         meta, shapes = _read_head(fh, path, error)
+        flags = [True] * len(shapes) if keep is None else keep(meta, shapes)
         arrays = {}
-        for name, shape in shapes:
+        for (name, shape), wanted in zip(shapes, flags):
+            if not wanted:
+                fh.seek(8 * math.prod(shape), os.SEEK_CUR)
+                continue
             arr = np.empty(shape, dtype="<f8")
             if fh.readinto(arr) != arr.nbytes:
                 raise error(f"{path}: truncated array {name}")

@@ -716,6 +716,24 @@ def test_gmm_bank_equals_concatenate_then_stride(use_sdc, thinning):
             assert np.array_equal(getattr(got, part), getattr(expect, part))
 
 
+def test_gmm_bank_from_a_corpus_file_equals_the_list_form(tmp_path):
+    train, _ = generate_corpus(SyntheticSpec(
+        num_classes=3, feature_dim=8, min_len=40, max_len=130,
+        train_utterances=30, test_utterances=0, seed=9))
+    path = tmp_path / "train.bin"
+    write_corpus(path, train, 3, 8)
+    g = GmmSettings(components=3, iterations=4, seed=6, sdc_blocks=3,
+                    max_frames_per_class=400)
+    want = fit_gmm_bank(train, 3, g)
+    for source in (path, str(path)):
+        models, histories, counts = fit_gmm_bank(source, 3, g)
+        assert (histories, counts) == want[1:]
+        for got, expect in zip(models, want[0]):
+            for part in ("weights", "means", "variances"):
+                assert np.array_equal(getattr(got, part),
+                                      getattr(expect, part))
+
+
 def write_test_corpus(tmp_path, num_classes=3, dim=6, length=40):
     utts = [Utterance(f"te{i}", i % 3, Rng(i).normal((dim, length)))
             for i in range(6)]
@@ -760,3 +778,51 @@ def test_gmm_bad_test_corpus_writes_nothing(workspace, capsys, damage):
     assert "data error" in err and named in err
     assert not (tmp_path / "runs" / "gmm.ckpt").exists()
     assert not (tmp_path / "runs" / "gmm_scores.txt").exists()
+
+
+MEMORY_CORPUS = """[data]
+num_classes = 4
+feature_dim = 20
+min_len = 600
+max_len = 800
+train_utterances = 64
+test_utterances = 8
+bucketed_test = false
+"""
+
+
+def test_gen_data_holds_one_utterance_at_a_time(tmp_path):
+    import tracemalloc
+    config = write_config(tmp_path, extra=MEMORY_CORPUS)
+    # a first run pays the process's one-off set-up, which is not measured
+    assert main(["gen-data", "--config", config]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["gen-data", "--config", config, "--force"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    path = tmp_path / "data" / "train.bin"
+    train, _, _ = read_corpus(path)
+    head_bytes = path.stat().st_size - sum(u.features.nbytes for u in train)
+    longest = 8 * 20 * 800
+    # the train split's frames alone are 64 utterances of 600-800 frames
+    assert peak < 8 * longest + 2 * head_bytes
+
+
+def test_gmm_holds_less_than_the_train_corpus(tmp_path):
+    import tracemalloc
+    config = write_config(tmp_path, extra=MEMORY_CORPUS
+                          + "[gmm]\nuse_sdc = true\nmax_frames_per_class = "
+                            "3000\n")
+    assert main(["gen-data", "--config", config]) == 0
+    train, _, _ = read_corpus(tmp_path / "data" / "train.bin")
+    corpus_bytes = sum(u.features.nbytes for u in train)
+    del train
+    tracemalloc.start()
+    try:
+        assert main(["gmm", "--config", config]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < corpus_bytes

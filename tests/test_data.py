@@ -20,7 +20,13 @@ from ldekit.data import (
     sdc_shape,
     write_corpus,
 )
-from ldekit.ndcore import ARTIFACT_VERSION, DimensionError, Rng
+from ldekit.ndcore import (
+    ARTIFACT_VERSION,
+    DimensionError,
+    Rng,
+    read_artifact,
+    write_artifact,
+)
 
 
 def small_spec(**kw):
@@ -342,10 +348,53 @@ class TestCorpusFile:
             tracemalloc.stop()
         assert peak < 1.5 * size
 
+    @staticmethod
+    def bucketed_file(path):
+        spec = small_spec(train_utterances=0, test_utterances=13)
+        _, test = generate_corpus(spec)
+        write_corpus(path, test, spec.num_classes, spec.feature_dim)
+        return spec
+
+    def test_one_class_read_equals_the_filtered_full_read(self, tmp_path):
+        path = tmp_path / "c.bin"
+        spec = self.bucketed_file(path)
+        full, k, d = read_corpus(path)
+        for label in range(spec.num_classes):
+            part, k2, d2 = read_corpus(path, label)
+            want = [u for u in full if u.label == label]
+            assert (k2, d2) == (k, d) and len(part) == len(want) > 0
+            for a, b in zip(part, want):
+                assert a.id == b.id and a.label == b.label == label
+                assert np.array_equal(a.features, b.features)
+
+    def test_one_class_read_holds_that_class_only(self, tmp_path):
+        spec = small_spec(train_utterances=40, test_utterances=0)
+        train, _ = generate_corpus(spec)
+        path = tmp_path / "c.bin"
+        write_corpus(path, train, spec.num_classes, spec.feature_dim)
+        one_class = sum(u.features.nbytes for u in train if u.label == 2)
+        tracemalloc.start()
+        try:
+            read_corpus(path, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * one_class < path.stat().st_size / 2
+
+    def test_one_class_read_checks_the_other_classes(self, tmp_path):
+        path = tmp_path / "c.bin"
+        self.bucketed_file(path)
+        meta, arrays = read_artifact(path, CorpusFormatError)
+        meta["labels"][0] = 9  # utterance te00000 is of class 0
+        write_artifact(path, meta, list(arrays.items()))
+        with pytest.raises(CorpusFormatError,
+                           match="label 9 of te00000#.* out of range"):
+            read_corpus(path, 1)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"XXXX" + b"\0" * 12)
-        with pytest.raises(CorpusFormatError, match="magic"):
+        with pytest.raises(CorpusFormatError, match="bad magic b'XXXX'"):
             read_corpus(path)
 
     @staticmethod
@@ -376,7 +425,9 @@ class TestCorpusFile:
         write_corpus(path, utts, 2, 2)
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
-        with pytest.raises(CorpusFormatError, match="truncated"):
+        with pytest.raises(CorpusFormatError,
+                           match="truncated: the head declares 80 bytes of "
+                                 "arrays, 72 follow"):
             read_corpus(path)
 
     def test_oversized_lengths_are_truncation(self, tmp_path):
@@ -401,7 +452,7 @@ class TestCorpusFile:
                 Utterance("same", 1, np.zeros((2, 4)))]
         path = tmp_path / "d.bin"
         write_corpus(path, utts, 2, 2)
-        with pytest.raises(CorpusFormatError, match="duplicate"):
+        with pytest.raises(CorpusFormatError, match="duplicate array names"):
             read_corpus(path)
 
     def test_dim_mismatch_on_write(self, tmp_path):

@@ -5,6 +5,7 @@ from ldekit.gmm import (
     EMPTY_COMPONENT_FLOOR,
     VAR_FLOOR_FRACTION,
     GmmModel,
+    _assign,
     _kmeans,
     accumulate_stats,
     em_fit,
@@ -272,6 +273,20 @@ def assert_close_fit(fit_a, fit_b):
     assert len(history_a) == len(history_b)
     for got, want in zip(history_a, history_b):
         assert max_rel_diff(got, want) <= REL_TOL
+
+
+def test_assign_picks_argmax_rows_ties_included():
+    gen = np.random.default_rng(46)
+    centers = gen.normal(size=(7, 4))
+    # equal centers tie on every frame: 0 with 3, and 2 with 4 and 5
+    centers[3] = centers[0]
+    centers[[4, 5]] = centers[2]
+    x = np.hstack([gen.normal(size=(4, 500)), centers[[2, 0, 6]].T])
+    onehot, score = _assign(centers, x)
+    want = np.arange(7)[:, None] == score.argmax(axis=0)
+    assert np.array_equal(onehot, want.astype(np.float64))
+    assert onehot[[3, 4, 5]].sum() == 0
+    assert onehot[0].sum() > 0 and onehot[2].sum() > 0
 
 
 class TestKmeans:

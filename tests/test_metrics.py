@@ -421,13 +421,14 @@ class TestScoresFile:
     def test_duplicate_ids(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("id1\tA\tA:1.0,B:2.0\nid1\tB\tA:0.0,B:0.0\n")
-        with pytest.raises(ScoresFormatError, match="duplicate"):
+        with pytest.raises(ScoresFormatError,
+                           match="duplicate trial id 'id1'"):
             read_scores(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("")
-        with pytest.raises(ScoresFormatError, match="empty"):
+        with pytest.raises(ScoresFormatError, match="empty scores file"):
             read_scores(path)
 
 

@@ -3,15 +3,20 @@ import os
 import numpy as np
 import pytest
 
+from ldekit.data import Utterance, write_corpus
+from ldekit.gmm import GmmModel
 from ldekit.ndcore import (
     DimensionError,
     Param,
     Rng,
     atomic_write,
     log_sum_exp_rows,
+    read_artifact,
     softmax_rows,
     sq_dists,
+    write_artifact,
 )
+from ldekit.train import Model, ModelConfig, save_gmm_bank, save_model
 
 
 class TestSqDists:
@@ -139,3 +144,50 @@ class TestAtomicWrite:
                 fh.write("partial")
                 raise ValueError("bad record")
         assert os.listdir(tmp_path) == []
+
+
+# one small file of each kind that ldekit writes through `write_artifact`
+ARTIFACTS = {
+    "bank": lambda path: save_gmm_bank(path, [
+        GmmModel(weights=np.array([0.25, 0.75]),
+                 means=np.array([[0.0, 1.0], [2.0, -1.0]]),
+                 variances=np.array([[1.0, 2.0], [0.5, 1.5]]))]),
+    "corpus": lambda path: write_corpus(
+        path, [Utterance(f"u{i}", i % 2, Rng(i).normal((3, 4 + i)))
+               for i in range(3)], num_classes=2, feature_dim=3),
+    "model": lambda path: save_model(
+        path, Model(ModelConfig(in_dim=2, num_classes=2), Rng(0)), epoch=1),
+}
+
+
+class TestWriteArtifact:
+    @pytest.mark.parametrize("kind", sorted(ARTIFACTS))
+    def test_generator_gives_the_list_forms_bytes(self, tmp_path, kind):
+        saved = tmp_path / "saved"
+        ARTIFACTS[kind](saved)
+        meta, arrays = read_artifact(saved, ValueError)
+        write_artifact(tmp_path / "list", meta, list(arrays.items()))
+        write_artifact(tmp_path / "gen", meta,
+                       ((name, a) for name, a in arrays.items()))
+        assert (tmp_path / "list").read_bytes() == saved.read_bytes()
+        assert (tmp_path / "gen").read_bytes() == saved.read_bytes()
+
+    @staticmethod
+    def fail_after_one_array():
+        yield "a", np.ones(3)
+        raise OSError("disk full")
+
+    def test_failing_generator_creates_nothing(self, tmp_path):
+        with pytest.raises(OSError, match="disk full"):
+            write_artifact(tmp_path / "out.bin", {},
+                           self.fail_after_one_array())
+        assert os.listdir(tmp_path) == []
+
+    def test_failing_generator_keeps_the_target(self, tmp_path):
+        path = tmp_path / "out.bin"
+        write_artifact(path, {"version": 1}, [("a", np.zeros(2))])
+        before = path.read_bytes()
+        with pytest.raises(OSError, match="disk full"):
+            write_artifact(path, {"version": 2}, self.fail_after_one_array())
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["out.bin"]
