@@ -4,6 +4,11 @@ Subcommands: gen-data (synthetic corpora), train (TAP/LDE classifier),
 eval (score a corpus with a checkpoint), fuse (linear score fusion),
 gmm (classical per-class mixture baseline).
 
+Every command that reads a corpus opens it once as a `data.CorpusFile`
+and closes it on every exit path: `train` batches from its file-backed
+utterance list, which reads only each batch's crops, and `eval` and `gmm`
+read one utterance at a time, so no command holds a whole corpus.
+
 Exit codes: 0 success, 1 usage or config error, 2 data/format error,
 3 numerical failure.
 """
@@ -25,12 +30,10 @@ from .config import (
 )
 from .data import (
     DURATION_BUCKETS,
+    CorpusFile,
     CorpusFormatError,
-    Utterance,
     duration_bucket,
     generate_split,
-    read_corpus,
-    read_header,
     sdc,
     sdc_shape,
     write_corpus,
@@ -123,19 +126,20 @@ def _class_names(num_classes: int) -> list[str]:
     return [f"L{k}" for k in range(num_classes)]
 
 
-def train_from_config(rc: RunConfig, utts: list[Utterance], num_classes: int,
-                      in_dim: int, log_path=None
-                      ) -> tuple[Model, list[TrainStep]]:
-    """Initialize (seed stream 0) and train (stream 1) the configured model."""
+def train_from_config(rc: RunConfig, utts, num_classes: int, in_dim: int,
+                      log_path=None) -> tuple[Model, list[TrainStep]]:
+    """Initialize (seed stream 0) and train (stream 1) the configured model
+    on `utts`, a list of `Utterance`s or of `StoredUtterance`s."""
     root = Rng(rc.train.seed)
     model = Model(model_config(rc, num_classes, in_dim), root.split(0))
     steps = train_model(model, utts, rc.train, root.split(1), log_path)
     return model, steps
 
 
-def score_corpus(model: Model, utts: list[Utterance],
-                 num_classes: int) -> TrialSet:
-    """Class logits of every whole utterance as trials."""
+def score_corpus(model: Model, utts, num_classes: int) -> TrialSet:
+    """Class logits of every whole utterance, from any iterable of them, as
+    trials; a stored utterance's frames are read for its turn and dropped
+    after it."""
     return TrialSet(_class_names(num_classes),
                     [TrialScore(u.id, u.label, infer(model, u.features))
                      for u in utts])
@@ -163,9 +167,11 @@ def cmd_train(args) -> int:
     _require_file(rc.paths.train_corpus, "train corpus")
     _prepare_output(rc.paths.checkpoint, args.force)
     _prepare_output(rc.paths.loss_log, args.force)
-    utts, num_classes, in_dim = read_corpus(rc.paths.train_corpus)
-    model, steps = train_from_config(rc, utts, num_classes, in_dim,
-                                     log_path=rc.paths.loss_log)
+    with CorpusFile(rc.paths.train_corpus) as corpus:
+        model, steps = train_from_config(rc, corpus.utterances,
+                                         corpus.num_classes,
+                                         corpus.feature_dim,
+                                         log_path=rc.paths.loss_log)
     save_model(rc.paths.checkpoint, model, epoch=rc.train.epochs,
                extra_meta={"run_config": config_to_dict(rc)})
     last = steps[-1].smoothed if steps else float("nan")
@@ -181,17 +187,19 @@ def cmd_eval(args) -> int:
     _require_file(args.corpus, "corpus")
     _prepare_output(args.scores, args.force)
     model, _meta = load_model(args.checkpoint)
-    utts, num_classes, in_dim = read_corpus(args.corpus)
-    if num_classes != model.cfg.num_classes or in_dim != model.cfg.in_dim:
-        raise CorpusFormatError(
-            f"{args.corpus}: {num_classes} classes of dim {in_dim} but the "
-            f"checkpoint expects {model.cfg.num_classes} of dim "
-            f"{model.cfg.in_dim}")
-    det_paths = ([f"{args.det}.{name}.txt" for name in _class_names(num_classes)]
-                 if args.det is not None else [])
-    for det_path in det_paths:
-        _prepare_output(det_path, args.force)
-    tset = score_corpus(model, utts, num_classes)
+    with CorpusFile(args.corpus) as corpus:
+        num_classes, in_dim = corpus.num_classes, corpus.feature_dim
+        if num_classes != model.cfg.num_classes or in_dim != model.cfg.in_dim:
+            raise CorpusFormatError(
+                f"{args.corpus}: {num_classes} classes of dim {in_dim} but "
+                f"the checkpoint expects {model.cfg.num_classes} of dim "
+                f"{model.cfg.in_dim}")
+        det_paths = ([f"{args.det}.{name}.txt"
+                      for name in _class_names(num_classes)]
+                     if args.det is not None else [])
+        for det_path in det_paths:
+            _prepare_output(det_path, args.force)
+        tset = score_corpus(model, corpus.utterances, num_classes)
     write_scores(args.scores, tset)
     for k, det_path in enumerate(det_paths):
         write_det_points(det_path, tset, k)
@@ -222,22 +230,22 @@ def cmd_fuse(args) -> int:
     return 0
 
 
-def _gmm_features(utt: Utterance, g, shape_only: bool = False):
+def _gmm_features(utt, g, shape_only: bool = False):
     """The utterance's mixture features (D' x L'): its SDC features under
     the [gmm] settings, or its raw features when use_sdc is off. With
     `shape_only`, just their (D', L'), from the lengths alone."""
     if not g.use_sdc:
-        return utt.features.shape if shape_only else utt.features
+        return utt.shape if shape_only else utt.features
     spec = dict(n_coeffs=g.sdc_coeffs, delta=g.sdc_delta, shift=g.sdc_shift,
                 blocks=g.sdc_blocks, append_static=g.sdc_static)
     try:
-        return (sdc_shape(utt.features.shape, **spec) if shape_only
+        return (sdc_shape(utt.shape, **spec) if shape_only
                 else sdc(utt.features, **spec))
     except ValueError as exc:
         raise CorpusFormatError(f"utterance {utt.id}: {exc}") from exc
 
 
-def _pooled_class_frames(utts: list[Utterance], g) -> np.ndarray:
+def _pooled_class_frames(utts, g) -> np.ndarray:
     """One class's mixture features as the N x D transpose of one
     contiguous D x N array, thinned by an even stride to at most
     `max_frames_per_class` frames: frame i of the class's features in
@@ -267,32 +275,30 @@ def fit_gmm_bank(train, num_classes: int, g
     """Per-class EM mixtures on pooled features, thinned by an even stride
     to `max_frames_per_class`; returns the models, their log-likelihood
     histories and the frame counts they were fit on. `train` is the
-    training utterances, or the path of a corpus file, which is then read
-    one class at a time. One class at a time, in corpus order: each
-    class's kept frames are pooled straight into one preallocated array
-    (`_pooled_class_frames`), and its utterances are dropped before the
-    next class's are gathered."""
+    training utterances, `Utterance`s or `StoredUtterance`s. One class at
+    a time, in corpus order: each class's kept frames are pooled straight
+    into one preallocated array (`_pooled_class_frames`), which reads a
+    stored list one utterance at a time."""
     rng = Rng(g.seed)
     models, histories, counts = [], [], []
     for k in range(num_classes):
-        members = (read_corpus(train, k)[0]
-                   if isinstance(train, (str, os.PathLike))
-                   else [u for u in train if u.label == k])
+        members = [u for u in train if u.label == k]
         if not members:
             raise CorpusFormatError(f"no training utterances for class L{k}")
         frames = _pooled_class_frames(members, g)
-        del members
         model, history = em_fit(frames, g.components, g.iterations,
                                 rng.split(k))
         models.append(model)
         histories.append(history)
         counts.append(frames.shape[0])
+        del frames  # before the next class's pool is built
     return models, histories, counts
 
 
-def score_gmm_bank(models: list[GmmModel], utts: list[Utterance],
-                   num_classes: int, g) -> TrialSet:
-    """Per-class log-posteriors of every utterance under the bank."""
+def score_gmm_bank(models: list[GmmModel], utts, num_classes: int,
+                   g) -> TrialSet:
+    """Per-class log-posteriors of every utterance, from any iterable of
+    them, under the bank."""
     return TrialSet(_class_names(num_classes),
                     [TrialScore(u.id, u.label,
                                 log_posterior_scores(
@@ -301,31 +307,31 @@ def score_gmm_bank(models: list[GmmModel], utts: list[Utterance],
 
 
 def cmd_gmm(args) -> int:
-    """Fits the bank on the train corpus, read one class at a time, then
-    reads and scores the test corpus, so no two classes' training
-    utterances, and no training utterance and the test corpus, are held
-    together. The test corpus's header is checked against the train
-    corpus's before the fit, and no artifact is written unless every test
+    """Fits the bank on the train corpus, then scores the test corpus,
+    reading one utterance at a time throughout. Both corpora's heads are
+    checked, and the test corpus's header against the train corpus's,
+    before the fit, and no artifact is written unless every test
     utterance scores."""
     rc = load_config(args.config)
     _require_file(rc.paths.train_corpus, "train corpus")
     _require_file(rc.paths.test_corpus, "test corpus")
     _prepare_output(rc.paths.gmm_checkpoint, args.force)
     _prepare_output(rc.paths.gmm_scores, args.force)
-    num_classes, in_dim = read_header(rc.paths.train_corpus)
-    k2, d2 = read_header(rc.paths.test_corpus)
-    if (k2, d2) != (num_classes, in_dim):
-        raise CorpusFormatError(
-            f"{rc.paths.test_corpus}: header ({k2} classes, dim {d2}) does "
-            f"not match the train corpus ({num_classes}, dim {in_dim})")
     g = rc.gmm
-    models, histories, counts = fit_gmm_bank(rc.paths.train_corpus,
-                                             num_classes, g)
-    for k, (history, count) in enumerate(zip(histories, counts)):
-        print(f"class L{k}: {g.components} components on "
-              f"{count} frames, final avg ll {history[-1] / count:.5f}")
-    test, _, _ = read_corpus(rc.paths.test_corpus)
-    tset = score_gmm_bank(models, test, num_classes, g)
+    with CorpusFile(rc.paths.train_corpus) as train, \
+            CorpusFile(rc.paths.test_corpus) as test:
+        num_classes, in_dim = train.num_classes, train.feature_dim
+        if (test.num_classes, test.feature_dim) != (num_classes, in_dim):
+            raise CorpusFormatError(
+                f"{rc.paths.test_corpus}: header ({test.num_classes} "
+                f"classes, dim {test.feature_dim}) does not match the train "
+                f"corpus ({num_classes}, dim {in_dim})")
+        models, histories, counts = fit_gmm_bank(train.utterances,
+                                                 num_classes, g)
+        for k, (history, count) in enumerate(zip(histories, counts)):
+            print(f"class L{k}: {g.components} components on "
+                  f"{count} frames, final avg ll {history[-1] / count:.5f}")
+        tset = score_gmm_bank(models, test.utterances, num_classes, g)
     save_gmm_bank(rc.paths.gmm_checkpoint, models,
                   meta={"run_config": config_to_dict(rc)})
     write_scores(rc.paths.gmm_scores, tset)

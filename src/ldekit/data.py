@@ -13,21 +13,29 @@ A corpus file is an `ndcore.write_artifact` file: its JSON head's meta is
 utterance, and each utterance's D x L frames are one float64 array named
 by its id, in corpus order. Identical spec and seed reproduce the file
 byte for byte.
+
+Every read of a corpus file goes through `CorpusFile`, which checks the
+head once and indexes it: one `StoredUtterance` (id, label, shape, byte
+offset) per utterance, whose frames stay in the file until asked for.
+Such a file-backed list serves wherever a list of in-memory `Utterance`s
+does: both give `features`, the whole D x L array (read at each access
+for a stored one), and `read_frames`, which fills a caller's array with a
+window of frames (one positioned read per feature row for a stored one).
+`make_batches` crops through `read_frames` straight into each batch, so
+training holds one batch of crops, not the corpus, and scoring a stored
+list holds one utterance at a time. `read_corpus` lists the utterances
+with their frames in memory.
 """
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ndcore import (
-    DimensionError,
-    Rng,
-    read_artifact,
-    write_artifact,
-)
+from .ndcore import DimensionError, Rng, artifact_index, write_artifact
 
 # synthetic analogue of short / medium / long duration test buckets,
 # (bucket tag, inclusive frame-length range)
@@ -94,8 +102,60 @@ class Utterance:
     features: np.ndarray  # D x L
 
     @property
+    def shape(self) -> tuple[int, int]:
+        return self.features.shape
+
+    @property
     def num_frames(self) -> int:
         return self.features.shape[1]
+
+    def read_frames(self, start: int, out: np.ndarray) -> None:
+        """Copies frames [start, start + out.shape[1]) into the D x n `out`."""
+        out[...] = self.features[:, start:start + out.shape[1]]
+
+
+@dataclass(frozen=True)
+class StoredUtterance:
+    """One utterance of an open `CorpusFile`, by its index entry; its
+    frames stay in the file, at byte `offset`, until read. Reads raise
+    CorpusFormatError for a file cut short since it was opened and for
+    non-finite frames."""
+
+    id: str
+    label: int
+    shape: tuple[int, int]
+    offset: int
+    file: object = field(repr=False)  # the corpus's open binary file
+
+    @property
+    def num_frames(self) -> int:
+        return self.shape[1]
+
+    @property
+    def features(self) -> np.ndarray:
+        """The whole D x L array, read from the file at each access."""
+        arr = np.empty(self.shape, dtype="<f8")
+        self._read(arr, self.offset)
+        self._check_finite(arr)
+        return arr.astype(np.float64, copy=False)
+
+    def read_frames(self, start: int, out: np.ndarray) -> None:
+        """Frames [start, start + out.shape[1]) into the D x n `out`, whose
+        rows are contiguous: one positioned read per feature row."""
+        row_bytes = 8 * self.shape[1]
+        for row, buf in enumerate(out):
+            self._read(buf, self.offset + row * row_bytes + 8 * start)
+        self._check_finite(out)
+
+    def _read(self, buf: np.ndarray, offset: int) -> None:
+        if os.preadv(self.file.fileno(), [buf], offset) != buf.nbytes:
+            raise CorpusFormatError(f"{self.file.name}: {self.id} is cut "
+                                    f"short")
+
+    def _check_finite(self, frames: np.ndarray) -> None:
+        if not np.isfinite(frames).all():
+            raise CorpusFormatError(f"{self.file.name}: {self.id} holds "
+                                    f"non-finite frames")
 
 
 @dataclass
@@ -140,9 +200,11 @@ def _sample_utterance(gen: ClassGenerator, length: int, noise_std: float,
     for t in range(1, length):
         phone = succ[phone][t]
         phones.append(phone)
-    frames = gen.centers[phones]
-    if noise_std > 0:
-        frames = frames + rng.normal((length, d), std=noise_std)
+    if noise_std == 0:
+        return gen.centers[phones].T
+    # the centers are added into the noise, which is the same sum
+    frames = rng.normal((length, d), std=noise_std)
+    frames += gen.centers[phones]
     return frames.T  # D x L
 
 
@@ -183,18 +245,26 @@ def generate_corpus(spec: SyntheticSpec) -> tuple[list[Utterance], list[Utteranc
             list(generate_split(spec, "test")))
 
 
-def crop_or_extend(utt: Utterance, target_len: int, rng: Rng) -> np.ndarray:
-    """Exactly target_len frames: uniform random contiguous crop when the
-    utterance is longer, wrap-around tiling then truncation when shorter."""
-    feats = utt.features
-    length = feats.shape[1]
-    if length == target_len:
-        return feats
+def crop_or_extend(utt, target_len: int, rng: Rng,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Exactly target_len frames of an `Utterance` or `StoredUtterance`,
+    written into `out` (D x target_len) when given: a uniform random
+    contiguous crop when the utterance is longer, wrap-around tiling then
+    truncation when shorter. Only the frames kept are read, once each."""
+    if out is None:
+        out = np.empty((utt.shape[0], target_len), dtype="<f8")
+    length = utt.num_frames
     if length > target_len:
-        start = rng.integers(0, length - target_len)
-        return feats[:, start:start + target_len]
-    reps = -(-target_len // length)
-    return np.tile(feats, (1, reps))[:, :target_len]
+        utt.read_frames(rng.integers(0, length - target_len), out)
+        return out
+    utt.read_frames(0, out[:, :length])
+    # tile by doubling: the filled prefix is always whole repeats
+    filled = length
+    while filled < target_len:
+        width = min(filled, target_len - filled)
+        out[:, filled:filled + width] = out[:, :width]
+        filled += width
+    return out
 
 
 def sdc_shape(shape: tuple[int, int], n_coeffs: int = 7, delta: int = 1,
@@ -239,12 +309,15 @@ def sdc(x: np.ndarray, n_coeffs: int = 7, delta: int = 1, shift: int = 3,
     return out
 
 
-def make_batches(utts: list[Utterance], batch_size: int, crop_min: int,
-                 crop_max: int, rng: Rng):
-    """One epoch of shuffled (B x D x L, labels) batches.
+def make_batches(utts, batch_size: int, crop_min: int, crop_max: int,
+                 rng: Rng):
+    """One epoch of shuffled (B x D x L, labels) batches of `utts`, a list
+    of `Utterance`s or of an open corpus's `StoredUtterance`s.
 
     A fresh length L is drawn uniformly from [crop_min, crop_max] per step
-    and every member is cropped or extended to it.
+    and every member is cropped or extended to it (`crop_or_extend`)
+    straight into one new batch array, so a stored list reads just the
+    frames that the batch keeps.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -252,7 +325,10 @@ def make_batches(utts: list[Utterance], batch_size: int, crop_min: int,
     for start in range(0, len(utts), batch_size):
         members = [utts[i] for i in order[start:start + batch_size]]
         target = rng.integers(crop_min, crop_max)
-        feats = np.stack([crop_or_extend(u, target, rng) for u in members])
+        feats = np.empty((len(members), members[0].shape[0], target),
+                         dtype="<f8")
+        for u, out in zip(members, feats):
+            crop_or_extend(u, target, rng, out)
         labels = np.array([u.label for u in members], dtype=np.int64)
         yield feats, labels
 
@@ -291,11 +367,47 @@ def _corpus_shape(meta: dict, path) -> tuple[int, int]:
     return num_classes, feature_dim
 
 
-def read_header(path) -> tuple[int, int]:
-    """(num_classes, feature_dim) of a corpus file, from its head alone."""
-    meta, _ = read_artifact(path, CorpusFormatError,
-                            lambda meta, shapes: [False] * len(shapes))
-    return _corpus_shape(meta, path)
+class CorpusFile:
+    """An open corpus file: its header (`num_classes`, `feature_dim`) and
+    `utterances`, one `StoredUtterance` per utterance in corpus order. The
+    whole head is checked on opening, every label and every shape, and
+    the file's size against it, so a read checks only what the head
+    cannot vouch for: that its bytes are still there and finite. A
+    context manager: leaving it closes the file, on every exit path."""
+
+    def __init__(self, path):
+        self.path = path
+        self._file = open(path, "rb")
+        try:
+            meta, index = artifact_index(self._file, path, CorpusFormatError)
+            self.num_classes, self.feature_dim = _corpus_shape(meta, path)
+            labels = meta.get("labels")
+            if not isinstance(labels, list) or len(labels) != len(index):
+                raise CorpusFormatError(f"{path}: labels do not match the "
+                                        f"{len(index)} utterances")
+            self.utterances = []
+            for (ident, shape, offset), lab in zip(index, labels):
+                if type(lab) is not int or not 0 <= lab < self.num_classes:
+                    raise CorpusFormatError(f"{path}: label {lab!r} of "
+                                            f"{ident} out of range")
+                if len(shape) != 2 or shape[0] != self.feature_dim:
+                    raise CorpusFormatError(
+                        f"{path}: {ident} has shape {shape}, expected "
+                        f"({self.feature_dim}, L)")
+                self.utterances.append(
+                    StoredUtterance(ident, lab, shape, offset, self._file))
+        except BaseException:
+            self._file.close()
+            raise
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self) -> "CorpusFile":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def read_corpus(path, label: int | None = None
@@ -303,28 +415,12 @@ def read_corpus(path, label: int | None = None
     """Returns (utterances, num_classes, feature_dim); with `label`, the
     utterances of that class only, in corpus order.
 
-    The whole head is checked first: every label and every utterance's
-    shape. Frames are then read straight into their final arrays, so
+    The whole head is checked first (`CorpusFile`). Each wanted
+    utterance's frames are then read straight into their final array, so
     reading never holds a second copy of the file, and the other classes'
-    frames are seeked past.
+    frames are not read at all.
     """
-    def keep(meta, shapes):
-        num_classes, feature_dim = _corpus_shape(meta, path)
-        labels = meta.get("labels")
-        if not isinstance(labels, list) or len(labels) != len(shapes):
-            raise CorpusFormatError(f"{path}: labels do not match the "
-                                    f"{len(shapes)} utterances")
-        for (ident, shape), lab in zip(shapes, labels):
-            if type(lab) is not int or not 0 <= lab < num_classes:
-                raise CorpusFormatError(f"{path}: label {lab!r} of {ident} "
-                                        f"out of range")
-            if len(shape) != 2 or shape[0] != feature_dim:
-                raise CorpusFormatError(f"{path}: {ident} has shape {shape}, "
-                                        f"expected ({feature_dim}, L)")
-        return [label is None or lab == label for lab in labels]
-
-    meta, arrays = read_artifact(path, CorpusFormatError, keep)
-    labels = [lab for lab in meta["labels"] if label is None or lab == label]
-    utts = [Utterance(id=ident, label=lab, features=feats)
-            for (ident, feats), lab in zip(arrays.items(), labels)]
-    return utts, meta["num_classes"], meta["feature_dim"]
+    with CorpusFile(path) as corpus:
+        utts = [Utterance(u.id, u.label, u.features)
+                for u in corpus.utterances if label is None or u.label == label]
+        return utts, corpus.num_classes, corpus.feature_dim

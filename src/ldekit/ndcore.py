@@ -9,9 +9,10 @@ through `atomic_write`, so a failed write never leaves a partial file.
 
 Corpora, model checkpoints and mixture banks share one file format, a
 JSON head plus named float64 arrays, written by `write_artifact` from any
-iterable of arrays, one at a time, and read by `read_artifact`, which
-seeks past the arrays its caller does not want, all of them for a
-head-only read.
+iterable of arrays, one at a time. `artifact_index` checks an open file's
+head against its size and lists each array's name, shape and byte offset;
+`read_artifact` reads every array through that index, and
+`data.CorpusFile` reads single utterances and crops through it.
 """
 
 from __future__ import annotations
@@ -77,11 +78,12 @@ def write_artifact(path, meta: dict, arrays) -> None:
         shutil.copyfileobj(spool, fh)
 
 
-def _read_head(fh, path, error) -> tuple[dict, list]:
-    """The meta and the (name, shape) list of the artifact open in `fh`,
-    left at its first array. Raises `error` for anything but a well-formed
-    head whose arrays, with unique names, fill the rest of the file
-    exactly, so nothing is allocated for sizes the file does not hold."""
+def artifact_index(fh, path, error) -> tuple[dict, list]:
+    """The meta and the [(name, shape, offset), ...] list of the artifact
+    open in `fh`, each offset the byte at which that array's values start.
+    Raises `error` for anything but a well-formed head whose arrays, with
+    unique names, fill the rest of the file exactly, so nothing is
+    allocated or read for sizes the file does not hold."""
     size = os.fstat(fh.fileno()).st_size
     prefix = fh.read(_PREFIX.size)
     if prefix[:4] != ARTIFACT_MAGIC:
@@ -110,36 +112,29 @@ def _read_head(fh, path, error) -> tuple[dict, list]:
                     f"[name, shape] entries")
     if len({name for name, _ in entries}) != len(entries):
         raise error(f"{path}: duplicate array names")
-    need = 8 * sum(math.prod(shape) for _, shape in entries)
-    have = size - _PREFIX.size - head_len
-    if need > have:
-        raise error(f"{path}: truncated: the head declares {need} bytes of "
-                    f"arrays, {have} follow")
-    if need < have:
-        raise error(f"{path}: {have - need} trailing bytes after the last "
+    index, offset = [], _PREFIX.size + head_len
+    for name, shape in entries:
+        index.append((name, tuple(shape), offset))
+        offset += 8 * math.prod(shape)
+    if offset > size:
+        raise error(f"{path}: truncated: the head declares "
+                    f"{offset - _PREFIX.size - head_len} bytes of arrays, "
+                    f"{size - _PREFIX.size - head_len} follow")
+    if offset < size:
+        raise error(f"{path}: {size - offset} trailing bytes after the last "
                     f"array")
-    return head["meta"], [(name, tuple(shape)) for name, shape in entries]
+    return head["meta"], index
 
 
-def read_artifact(path, error, keep=None
-                  ) -> tuple[dict, dict[str, np.ndarray]]:
+def read_artifact(path, error) -> tuple[dict, dict[str, np.ndarray]]:
     """The meta and the named arrays, in file order, of a `write_artifact`
     file. Each array is read straight into its own allocation, so reading
     never holds a second copy of the file. A malformed file raises `error`
-    (an exception class).
-
-    `keep`, when given, is called with the meta and the [(name, shape),
-    ...] list once the whole head and the file's size have been checked,
-    and returns one flag per array: only the flagged arrays are read, and
-    the others are seeked past."""
+    (an exception class)."""
     with open(path, "rb") as fh:
-        meta, shapes = _read_head(fh, path, error)
-        flags = [True] * len(shapes) if keep is None else keep(meta, shapes)
+        meta, index = artifact_index(fh, path, error)
         arrays = {}
-        for (name, shape), wanted in zip(shapes, flags):
-            if not wanted:
-                fh.seek(8 * math.prod(shape), os.SEEK_CUR)
-                continue
+        for name, shape, _ in index:
             arr = np.empty(shape, dtype="<f8")
             if fh.readinto(arr) != arr.nbytes:
                 raise error(f"{path}: truncated array {name}")
@@ -215,10 +210,10 @@ class Rng:
 
     # Thin pass-throughs; kept narrow so every draw site is greppable.
     def normal(self, shape, mean=0.0, std=1.0) -> np.ndarray:
-        return self._gen.normal(loc=mean, scale=std, size=shape).astype(np.float64)
+        return self._gen.normal(loc=mean, scale=std, size=shape)
 
     def uniform(self, shape, low=0.0, high=1.0) -> np.ndarray:
-        return self._gen.uniform(low=low, high=high, size=shape).astype(np.float64)
+        return self._gen.uniform(low=low, high=high, size=shape)
 
     def integers(self, low, high) -> int:
         """One integer drawn uniformly from [low, high] inclusive."""

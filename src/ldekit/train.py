@@ -3,15 +3,18 @@
 A model is a front-end (optional), a pooling encoder (average pooling or
 the learnable dictionary encoder), and a linear classifier. Training is
 plain momentum SGD with weight decay and a two-drop step schedule,
-cropping every batch to one shared random length. A batch runs forward
-and backward one slice of whole members at a time, each slice at most
-SLICE_FRAMES crop frames: the step is bound by memory traffic, not by
-FLOPs, and small slices keep each convolution's im2col patch matrix
-near cache size at every crop length (see `batch_loss`). A checkpoint, of
-a model or of a mixture bank, is an `ndcore.write_artifact` file: the JSON
-head's meta (its "kind", "model" or "gmm", and what rebuilds the model or
-the bank) plus one float64 array per parameter, named as the parameter,
-so a reload is bit for bit.
+cropping every batch to one shared random length. `train_model` takes
+in-memory utterances or an open corpus's file-backed ones alike: its
+batches come from `data.make_batches`, which reads only the crops of a
+file-backed list, so training holds one batch, not the corpus. A batch
+runs forward and backward one slice of whole members at a time, each
+slice at most SLICE_FRAMES crop frames: the step is bound by memory
+traffic, not by FLOPs, and small slices keep each convolution's im2col
+patch matrix near cache size at every crop length (see `batch_loss`). A
+checkpoint, of a model or of a mixture bank, is an `ndcore.write_artifact`
+file: the JSON head's meta (its "kind", "model" or "gmm", and what
+rebuilds the model or the bank) plus one float64 array per parameter,
+named as the parameter, so a reload is bit for bit.
 """
 
 from __future__ import annotations
@@ -329,7 +332,8 @@ class TrainStep:
 
 def train_model(model: Model, utts, cfg: SgdConfig, rng: Rng,
                 log_path=None) -> list[TrainStep]:
-    """SGD over shuffled random-crop batches for cfg.epochs epochs.
+    """SGD over shuffled random-crop batches for cfg.epochs epochs, on a
+    list of `Utterance`s or of `StoredUtterance`s.
 
     Writes one 'step<TAB>loss<TAB>smoothed' line per step to log_path when
     given; the smoothed value is the mean of the last cfg.smooth_window

@@ -1,12 +1,21 @@
 import configparser
+import os
 
 import numpy as np
 import pytest
 
 from ldekit import cli
-from ldekit.cli import UsageError, _print_bucket_metrics, fit_gmm_bank, main
-from ldekit.config import ConfigError, GmmSettings, load_config
+from ldekit.cli import (
+    UsageError,
+    _print_bucket_metrics,
+    fit_gmm_bank,
+    main,
+    score_corpus,
+    train_from_config,
+)
+from ldekit.config import ConfigError, GmmSettings, config_to_dict, load_config
 from ldekit.data import (
+    CorpusFile,
     CorpusFormatError,
     SyntheticSpec,
     Utterance,
@@ -23,6 +32,7 @@ from ldekit.metrics import (
     TrialScore,
     TrialSet,
     read_scores,
+    write_scores,
 )
 from ldekit.ndcore import DimensionError, Rng
 from ldekit.train import (
@@ -726,7 +736,8 @@ def test_gmm_bank_from_a_corpus_file_equals_the_list_form(tmp_path):
                     max_frames_per_class=400)
     want = fit_gmm_bank(train, 3, g)
     for source in (path, str(path)):
-        models, histories, counts = fit_gmm_bank(source, 3, g)
+        with CorpusFile(source) as corpus:
+            models, histories, counts = fit_gmm_bank(corpus.utterances, 3, g)
         assert (histories, counts) == want[1:]
         for got, expect in zip(models, want[0]):
             for part in ("weights", "means", "variances"):
@@ -826,3 +837,118 @@ def test_gmm_holds_less_than_the_train_corpus(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < corpus_bytes
+
+
+def test_train_holds_less_than_the_train_corpus(tmp_path):
+    import tracemalloc
+    config = write_config(tmp_path, extra=MEMORY_CORPUS)
+    assert main(["gen-data", "--config", config]) == 0
+    train, _, _ = read_corpus(tmp_path / "data" / "train.bin")
+    corpus_bytes = sum(u.features.nbytes for u in train)
+    del train
+    # a first run pays the process's one-off set-up, which is not measured
+    assert main(["train", "--config", config]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["train", "--config", config, "--force"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < corpus_bytes
+
+
+def test_eval_holds_less_than_the_test_corpus(tmp_path):
+    import tracemalloc
+    config = write_config(tmp_path, extra=MEMORY_CORPUS.replace(
+        "test_utterances = 8", "test_utterances = 64"))
+    assert main(["gen-data", "--config", config]) == 0
+    assert main(["train", "--config", config]) == 0
+    corpus = tmp_path / "data" / "test.bin"
+    test, _, _ = read_corpus(corpus)
+    corpus_bytes = sum(u.features.nbytes for u in test)
+    del test
+    args = ["eval", "--checkpoint", str(tmp_path / "runs" / "model.ckpt"),
+            "--corpus", str(corpus),
+            "--scores", str(tmp_path / "runs" / "scores.txt"), "--force"]
+    assert main(args) == 0
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < corpus_bytes
+
+
+@pytest.mark.parametrize("model", ["tap", "lde"])
+@pytest.mark.parametrize("crops", ["median", "range"])
+def test_train_from_the_file_equals_train_from_config_on_the_list(
+        workspace, model, crops):
+    """`ldekit train` batches from the corpus file; `train_from_config` on
+    the read list must give the same bytes. The median length as the one
+    crop length makes crops longer than, equal to and shorter than some
+    utterances in every epoch; the range mixes all three per batch."""
+    tmp_path, _ = workspace
+    utts, k, d = read_corpus(tmp_path / "data" / "train.bin")
+    lengths = sorted(u.num_frames for u in utts)
+    crop = lengths[len(lengths) // 2]
+    assert lengths[0] < crop < lengths[-1]
+    low, high = (crop, crop) if crops == "median" else (16, lengths[-1] + 10)
+    config = write_config(tmp_path, extra=f"[encoder]\nmodel = {model}\n"
+                          f"components = 2\n[train]\ncrop_min = {low}\n"
+                          f"crop_max = {high}\n", name="crops.ini")
+    assert main(["train", "--config", config]) == 0
+    rc = load_config(config)
+    listed, _ = train_from_config(rc, utts, k, d,
+                                  log_path=tmp_path / "list_loss.log")
+    save_model(tmp_path / "list.ckpt", listed, epoch=rc.train.epochs,
+               extra_meta={"run_config": config_to_dict(rc)})
+    runs = tmp_path / "runs"
+    assert ((runs / "loss.log").read_bytes()
+            == (tmp_path / "list_loss.log").read_bytes())
+    assert ((runs / "model.ckpt").read_bytes()
+            == (tmp_path / "list.ckpt").read_bytes())
+
+
+def test_eval_from_the_file_equals_score_corpus_on_the_list(workspace):
+    tmp_path, _ = trained(workspace)
+    ckpt = tmp_path / "runs" / "model.ckpt"
+    corpus = tmp_path / "data" / "test.bin"
+    scores = tmp_path / "runs" / "scores.txt"
+    assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                 "--scores", str(scores)]) == 0
+    model, _ = load_model(ckpt)
+    utts, k, _ = read_corpus(corpus)
+    write_scores(tmp_path / "list_scores.txt", score_corpus(model, utts, k))
+    assert scores.read_bytes() == (tmp_path / "list_scores.txt").read_bytes()
+
+
+def open_descriptors() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("failure", ["numerical", "non-finite frames"])
+def test_train_abort_closes_every_descriptor(workspace, capsys, failure):
+    """A training run that aborts after the corpus is open, with exit 3 on
+    a blown-up loss or exit 2 on frames that read as NaN, leaves the
+    process's open descriptors as they were and writes nothing."""
+    tmp_path, config = workspace
+    if failure == "numerical":
+        config = write_config(tmp_path, extra="[train]\nlr0 = 1e100\n",
+                              name="blowup.ini")
+        code = 3
+    else:
+        path = tmp_path / "data" / "train.bin"
+        train, k, d = read_corpus(path)
+        train[-1].features[:] = np.nan
+        write_corpus(path, train, k, d)
+        code = 2
+    before = open_descriptors()
+    assert main(["train", "--config", config]) == code
+    assert open_descriptors() == before
+    err = capsys.readouterr().err
+    assert ("non-finite loss" if code == 3 else "non-finite frames") in err
+    assert list((tmp_path / "runs").iterdir()) == []

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import struct
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 from ldekit.data import (
     BUCKET_SEP,
     DURATION_BUCKETS,
+    CorpusFile,
     CorpusFormatError,
     SyntheticSpec,
     Utterance,
@@ -467,3 +469,88 @@ class TestCorpusFile:
         with pytest.raises(CorpusFormatError):
             write_corpus(tmp_path / "m.bin", utts, 2, 2)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestStoredUtterances:
+    @staticmethod
+    def corpus_file(path):
+        spec = small_spec(min_len=20, max_len=60, train_utterances=15,
+                          test_utterances=0)
+        train, _ = generate_corpus(spec)
+        write_corpus(path, train, spec.num_classes, spec.feature_dim)
+        return train
+
+    def test_index_matches_the_corpus(self, tmp_path):
+        path = tmp_path / "c.bin"
+        train = self.corpus_file(path)
+        with CorpusFile(path) as corpus:
+            assert (corpus.num_classes, corpus.feature_dim) == (4, 8)
+            assert len(corpus.utterances) == len(train)
+            for stored, utt in zip(corpus.utterances, train):
+                assert (stored.id, stored.label) == (utt.id, utt.label)
+                assert stored.shape == utt.shape
+                assert np.array_equal(stored.features, utt.features)
+
+    @pytest.mark.parametrize("crops", [(5, 15), (30, 30), (50, 80)])
+    def test_batches_equal_the_in_memory_batches(self, tmp_path, crops):
+        # crops shorter than, about equal to and longer than the 20-60
+        # frame utterances
+        path = tmp_path / "c.bin"
+        train = self.corpus_file(path)
+        with CorpusFile(path) as corpus:
+            stored = list(make_batches(corpus.utterances, 4, *crops, Rng(8)))
+        listed = list(make_batches(train, 4, *crops, Rng(8)))
+        assert len(stored) == len(listed) == 4
+        for (a, la), (b, lb) in zip(stored, listed):
+            assert a.tobytes() == b.tobytes() and a.shape == b.shape
+            assert np.array_equal(la, lb)
+
+    def test_non_finite_frames_raise(self, tmp_path):
+        path = tmp_path / "c.bin"
+        train = self.corpus_file(path)
+        train[2].features[3, 7] = np.inf
+        write_corpus(path, train, 4, 8)
+        with CorpusFile(path) as corpus:
+            corpus.utterances[1].features  # its neighbours read as before
+            with pytest.raises(CorpusFormatError, match="non-finite frames"):
+                corpus.utterances[2].features
+            out = np.empty((8, 5))
+            corpus.utterances[2].read_frames(0, out)  # a crop before it
+            with pytest.raises(CorpusFormatError, match="non-finite frames"):
+                corpus.utterances[2].read_frames(5, out)
+        with pytest.raises(CorpusFormatError, match="non-finite frames"):
+            read_corpus(path)
+
+    def test_file_cut_short_after_opening_raises(self, tmp_path):
+        path = tmp_path / "c.bin"
+        self.corpus_file(path)
+        with CorpusFile(path) as corpus:
+            os.truncate(path, path.stat().st_size - 8)
+            corpus.utterances[0].features
+            with pytest.raises(CorpusFormatError, match="is cut short"):
+                corpus.utterances[-1].features
+
+    def test_reads_end_with_the_file(self, tmp_path):
+        path = tmp_path / "c.bin"
+        self.corpus_file(path)
+        with CorpusFile(path) as corpus:
+            first = corpus.utterances[0]
+        with pytest.raises(ValueError, match="closed file"):
+            first.features
+
+    def test_a_bad_head_closes_the_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.bin"
+        self.corpus_file(path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-1])
+        opened = []
+        real_open = open
+
+        def tracked(*args, **kwargs):
+            fh = real_open(*args, **kwargs)
+            opened.append(fh)
+            return fh
+        monkeypatch.setattr("builtins.open", tracked)
+        with pytest.raises(CorpusFormatError, match="truncated"):
+            CorpusFile(path)
+        assert len(opened) == 1 and opened[0].closed

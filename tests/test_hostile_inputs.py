@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from ldekit.cli import main
+from ldekit.cli import build_parser, main
 from ldekit.data import CorpusFormatError, Utterance, read_corpus, write_corpus
 from ldekit.gmm import GmmModel
 from ldekit.metrics import (
@@ -115,6 +115,55 @@ def test_hostile_corpus_copies_one_class_read(tmp_path):
     # arrays are seeked past, after the same checks of the whole file
     assert escapes(tmp_path, "corpus",
                    lambda path: read_corpus(path, label=1)) == []
+
+
+def command(argv, outputs):
+    """A loader for `escapes` that runs the ldekit command `argv(path)` on
+    a corpus: it returns when the command succeeds and re-raises the
+    command's CorpusFormatError once it has checked that none of
+    `outputs` was written."""
+    def run(path):
+        for out in outputs:
+            out.unlink(missing_ok=True)
+        args = build_parser().parse_args(argv(path))
+        try:
+            assert args.func(args) == 0
+        except CorpusFormatError:
+            left = [out.name for out in outputs if out.exists()]
+            assert left == [], f"a failed run left {left}"
+            raise
+    return run
+
+
+def test_hostile_corpus_copies_train_or_raise(tmp_path):
+    # the corpus's own copies, batched from the file: crops of 2-6 frames
+    # cut the 3-5 frame utterances and tile them
+    runs = tmp_path / "runs"
+    config = tmp_path / "run.ini"
+
+    def argv(path):
+        config.write_text(
+            f"[frontend]\nenabled = false\n"
+            f"[train]\nepochs = 1\nbatch_size = 2\ncrop_min = 2\n"
+            f"crop_max = 6\n"
+            f"[paths]\ntrain_corpus = {path}\n"
+            f"checkpoint = {runs}/model.ckpt\nloss_log = {runs}/loss.log\n")
+        return ["train", "--config", str(config), "--force"]
+
+    outputs = [runs / "model.ckpt", runs / "loss.log"]
+    assert escapes(tmp_path, "corpus", command(argv, outputs)) == []
+
+
+def test_hostile_corpus_copies_eval_or_raise(tmp_path):
+    # the corpus's own copies, scored one utterance at a time
+    write_model(tmp_path / "model.ckpt")
+    scores = tmp_path / "scores.txt"
+
+    def argv(path):
+        return ["eval", "--checkpoint", str(tmp_path / "model.ckpt"),
+                "--corpus", str(path), "--scores", str(scores), "--force"]
+
+    assert escapes(tmp_path, "corpus", command(argv, [scores])) == []
 
 
 @pytest.mark.parametrize("fmt", sorted(ARTIFACT_KINDS))
