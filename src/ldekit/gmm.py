@@ -7,12 +7,16 @@ statistics n_c and f_c; with equal weights and one shared variance
 sigma^2, the centered means f_c / n_c are what the dictionary encoder
 returns with shared smoothing 1 / (2 sigma^2) and normalized
 aggregation, so that encoder stands in for the GMM supervector.
+
+A `GmmModel` computes its natural parameters once. EM expands them
+against its pooled frames and their squares in two products;
+`gmm_classify` scores a whole bank in one, against [x; x^2].
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,18 +29,29 @@ EMPTY_COMPONENT_FLOOR = 1e-6
 VAR_FLOOR_FRACTION = 1e-3
 
 
-@dataclass
+@dataclass(frozen=True)
 class GmmModel:
-    """Mixture weights (C,), means (C x D), diagonal variances (C x D)."""
+    """Mixture weights (C,), means (C x D), diagonal variances (C x D).
+
+    The model holds read-only float64 copies of the three, so the caller's
+    arrays stay writable and nothing can change the parameters behind the
+    natural form computed here once: `natural`, the C x 2D block
+    [mu/var, -1/(2 var)] that multiplies a frame stacked on its squares
+    [x; x^2], and `log_norm`, the C constants log w - 1/2 (D log 2 pi +
+    sum log var + sum mu^2/var). Together they give each component's log
+    of weight times density as one product. Parameters whose natural
+    form overflows are rejected with the other malformed ones.
+    """
 
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
+    natural: np.ndarray = field(init=False, repr=False)
+    log_norm: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.means = np.asarray(self.means, dtype=np.float64)
-        self.variances = np.asarray(self.variances, dtype=np.float64)
+        for name in ("weights", "means", "variances"):
+            self._freeze(name, np.array(getattr(self, name), dtype=np.float64))
         if self.means.shape != self.variances.shape:
             raise DimensionError("means and variances must have equal shapes")
         if self.weights.shape != (self.means.shape[0],):
@@ -48,6 +63,20 @@ class GmmModel:
             raise ValueError("mixture parameters must be finite")
         if np.any(self.variances <= 0):
             raise ValueError("variances must be positive")
+        with np.errstate(over="ignore", invalid="ignore"):
+            inv_var = 1.0 / self.variances
+            natural = np.hstack([self.means * inv_var, -0.5 * inv_var])
+            quad = (self.means ** 2 * inv_var).sum(axis=1)
+        if not (np.isfinite(natural).all() and np.isfinite(quad).all()):
+            raise ValueError("mixture parameters overflow their natural form")
+        self._freeze("natural", natural)
+        self._freeze("log_norm", np.log(self.weights) - 0.5 * (
+            self.dim * np.log(2.0 * np.pi)
+            + np.log(self.variances).sum(axis=1) + quad))
+
+    def _freeze(self, name: str, value: np.ndarray) -> None:
+        value.flags.writeable = False
+        object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -91,16 +120,13 @@ def log_densities(model: GmmModel, frames: np.ndarray,
 
     frames: L x D, and `frames ** 2` when the caller holds it (it is
     squared here otherwise). Returns L x C, the transposed view of a
-    C x L array: (mu/var) . x - 1/2 (1/var) . x^2 + const per component.
+    C x L array: (mu/var) . x - 1/2 (1/var) . x^2 + const per component,
+    from the model's `natural` halves and `log_norm`.
     """
     if frames_sq is None:
         frames_sq = frames ** 2
-    inv_var = 1.0 / model.variances
-    const = np.log(model.weights) - 0.5 * (
-        model.dim * np.log(2.0 * np.pi) + np.log(model.variances).sum(axis=1)
-        + (model.means ** 2 * inv_var).sum(axis=1))
-    return _expand(model.means * inv_var, -0.5 * inv_var, const,
-                   frames.T, frames_sq.T).T
+    return _expand(model.natural[:, :model.dim], model.natural[:, model.dim:],
+                   model.log_norm, frames.T, frames_sq.T).T
 
 
 def posteriors(model: GmmModel, x: np.ndarray) -> np.ndarray:
@@ -122,12 +148,6 @@ def accumulate_stats(model: GmmModel, x: np.ndarray) -> BaumWelchStats:
     n = post.sum(axis=0)
     f = post.T @ x.T - n[:, None] * model.means
     return BaumWelchStats(n=n, f=f)
-
-
-def total_log_likelihood(model: GmmModel, frames: np.ndarray,
-                         frames_sq: np.ndarray | None = None) -> float:
-    return float(log_sum_exp_rows(
-        log_densities(model, frames, frames_sq)).sum())
 
 
 def _assign(centers: np.ndarray, x: np.ndarray
@@ -235,12 +255,14 @@ def em_fit(frames: np.ndarray, num_components: int, iters: int,
         empty = np.flatnonzero(n < EMPTY_COMPONENT_FLOOR)
         if len(empty) > 0:
             donor = int(np.argmax(model.variances.sum(axis=1)))
+            means, variances = model.means.copy(), model.variances.copy()
             for c in empty:
                 log.warning("re-seeding empty component %d near component %d "
                             "(iteration %d)", c, donor, it)
-                jitter = rng.normal((dim,)) * np.sqrt(model.variances[donor])
-                model.means[c] = model.means[donor] + 0.1 * jitter
-                model.variances[c] = model.variances[donor].copy()
+                jitter = rng.normal((dim,)) * np.sqrt(variances[donor])
+                means[c] = means[donor] + 0.1 * jitter
+                variances[c] = variances[donor]
+            model = GmmModel(model.weights, means, variances)
             # recompute responsibilities against the repaired model
             post, _ = _responsibilities(model, x, x_sq)
             n = np.maximum(post.sum(axis=1), EMPTY_COMPONENT_FLOOR)
@@ -248,23 +270,45 @@ def em_fit(frames: np.ndarray, num_components: int, iters: int,
         weights = n / n.sum()
         means = (post @ frames) / n[:, None]
         sq = (post @ x_sq.T) / n[:, None]
-        del post  # freed before the next E-step builds its own
         variances = np.maximum(sq - means ** 2, var_floor)
         model = GmmModel(weights=weights, means=means, variances=variances)
+        # freed before the next E-step builds its own, but only after the
+        # model's small arrays are placed: built in the freed block, they
+        # split it, and the `gmm` benchmark's peak RSS rose by 6 MB
+        del post
     return model, ll_history
 
 
 def gmm_classify(models: list[GmmModel], x: np.ndarray) -> np.ndarray:
-    """Average per-frame log-likelihood of the sequence under each model;
-    the frames are squared once for all of them."""
-    dims = {m.dim for m in models}
-    if len(dims) != 1:
+    """Average per-frame log-likelihood of the D x L sequence `x` under
+    each of the K models, from one product: their `natural` blocks
+    stacked into K C x 2D rows, times the frames stacked on their
+    squares, [x; x^2] (2D x L), give every component's log density, and
+    each model's log-sum-exp runs over its own C contiguous rows. C is
+    the bank's largest component count; a model with fewer fills its
+    spare rows with zero parameters and a `log_norm` of -inf, which add
+    nothing to its sum."""
+    if not models:
+        raise DimensionError("need at least one class model to score against")
+    if len({m.dim for m in models}) != 1:
         raise DimensionError("all models must share the feature dimension")
     x = _check_sequence(models[0], x)
-    frames = x.T
-    frames_sq = frames ** 2
-    return np.array([total_log_likelihood(m, frames, frames_sq)
-                     / frames.shape[0] for m in models])
+    dim, length = x.shape
+    stacked = np.empty((2 * dim, length))
+    stacked[:dim] = x
+    np.square(x, out=stacked[dim:])
+    rows = max(len(m.weights) for m in models)
+    natural = np.zeros((len(models), rows, 2 * dim))
+    log_norm = np.full((len(models), rows), -np.inf)
+    for k, m in enumerate(models):
+        natural[k, :len(m.weights)] = m.natural
+        log_norm[k, :len(m.weights)] = m.log_norm
+    dens = _expand(natural.reshape(-1, 2 * dim), None, log_norm.reshape(-1),
+                   stacked, None).reshape(len(models), rows, length)
+    top = dens.max(axis=1)
+    dens -= top[:, None]
+    np.exp(dens, out=dens)
+    return (top + np.log(dens.sum(axis=1))).sum(axis=1) / length
 
 
 def log_posterior_scores(scores: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 import configparser
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -114,6 +116,15 @@ def workspace(tmp_path):
 def test_no_arguments_is_usage_error(capsys):
     assert main([]) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+def test_python_m_ldekit_help():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-m", "ldekit", "--help"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: ldekit")
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -1,8 +1,11 @@
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
+from ldekit import gmm
 from ldekit.gmm import (
-    EMPTY_COMPONENT_FLOOR,
     VAR_FLOOR_FRACTION,
     GmmModel,
     _assign,
@@ -13,7 +16,6 @@ from ldekit.gmm import (
     log_densities,
     log_posterior_scores,
     posteriors,
-    total_log_likelihood,
 )
 from ldekit.encoding import (
     AGG_NORMALIZED,
@@ -53,6 +55,43 @@ class TestGmmModel:
                  "variances": np.ones((1, 2)), **override}
         with pytest.raises(ValueError, match="finite"):
             GmmModel(**parts)
+
+    @pytest.mark.parametrize("override", [
+        {"means": [[1e200, 0.0]]},
+        {"variances": [[1e-310, 1.0]]},
+    ])
+    def test_overflowing_natural_form_rejected(self, override):
+        parts = {"weights": [1.0], "means": np.zeros((1, 2)),
+                 "variances": np.ones((1, 2)), **override}
+        with pytest.raises(ValueError, match="overflow"):
+            GmmModel(**parts)
+
+    def test_parameters_are_read_only_copies(self):
+        rng = np.random.default_rng(15)
+        parts = {"weights": np.array([0.25, 0.75]),
+                 "means": rng.normal(size=(2, 3)),
+                 "variances": rng.uniform(0.5, 2.0, size=(2, 3))}
+        kept = {name: a.copy() for name, a in parts.items()}
+        m = GmmModel(**parts)
+        for name in ("weights", "means", "variances", "natural", "log_norm"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(m, name)[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.means = np.zeros((2, 3))
+        for name, a in parts.items():
+            assert a.flags.writeable
+            a[0] = 7.0  # the caller's array is its own
+            assert np.array_equal(getattr(m, name), kept[name])
+
+    def test_natural_parameters_give_the_log_densities(self):
+        rng = np.random.default_rng(16)
+        m = random_model(rng, 3, 4)
+        x = rng.normal(size=(4, 1))
+        direct = (np.log(m.weights)
+                  - 0.5 * np.log(2 * np.pi * m.variances).sum(axis=1)
+                  - 0.5 * ((x[:, 0] - m.means) ** 2 / m.variances).sum(axis=1))
+        got = m.natural @ np.concatenate([x, x ** 2])[:, 0] + m.log_norm
+        assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
 class TestPosteriors:
@@ -212,7 +251,9 @@ def reference_kmeans(frames, num_components, iters, rng):
 def reference_em_fit(frames, num_components, iters, rng):
     """EM with a separate log-sum-exp and softmax per E-step and the
     squared frames rebuilt per M-step, as `em_fit` computed them before
-    it fused the E-step and kept the squares."""
+    it fused the E-step and kept the squares. It reads the module's
+    `EMPTY_COMPONENT_FLOOR` when it runs, so a test may lower or raise
+    it for both fits."""
     frames = np.asarray(frames, dtype=np.float64)
     dim = frames.shape[1]
     global_var = frames.var(axis=0)
@@ -232,15 +273,17 @@ def reference_em_fit(frames, num_components, iters, rng):
         history.append(float(log_sum_exp_rows(logdens).sum()))
         post = softmax_rows(logdens)
         n = post.sum(axis=0)
-        empty = np.flatnonzero(n < EMPTY_COMPONENT_FLOOR)
+        empty = np.flatnonzero(n < gmm.EMPTY_COMPONENT_FLOOR)
         if len(empty) > 0:
             donor = int(np.argmax(model.variances.sum(axis=1)))
+            means, variances = model.means.copy(), model.variances.copy()
             for c in empty:
-                jitter = rng.normal((dim,)) * np.sqrt(model.variances[donor])
-                model.means[c] = model.means[donor] + 0.1 * jitter
-                model.variances[c] = model.variances[donor].copy()
+                jitter = rng.normal((dim,)) * np.sqrt(variances[donor])
+                means[c] = means[donor] + 0.1 * jitter
+                variances[c] = variances[donor].copy()
+            model = GmmModel(model.weights, means, variances)
             post = softmax_rows(log_densities(model, frames))
-            n = np.maximum(post.sum(axis=0), EMPTY_COMPONENT_FLOOR)
+            n = np.maximum(post.sum(axis=0), gmm.EMPTY_COMPONENT_FLOOR)
         means = (post.T @ frames) / n[:, None]
         sq = (post.T @ (frames ** 2)) / n[:, None]
         model = GmmModel(n / n.sum(), means,
@@ -370,6 +413,24 @@ class TestEmFit:
         assert_close_fit(em_fit(frames, 6, 8, Rng(seed)),
                          reference_em_fit(frames, 6, 8, Rng(seed)))
 
+    # at 120 the first E-step leaves one component under the floor; at
+    # 200 three, and from the third iteration on the donor is one of them
+    @pytest.mark.parametrize("floor,reseeds", [(120.0, 1), (200.0, 12)])
+    def test_empty_component_reseed_matches_reference(self, monkeypatch,
+                                                      caplog, floor, reseeds):
+        gen = np.random.default_rng(60)
+        frames = np.vstack([gen.normal(size=(400, 3)) * s + off
+                            for s, off in
+                            ((1.0, 0.0), (0.5, 2.0), (2.0, -3.0))])
+        monkeypatch.setattr(gmm, "EMPTY_COMPONENT_FLOOR", floor)
+        with caplog.at_level(logging.WARNING, logger="ldekit.gmm"):
+            got = em_fit(frames, 5, 4, Rng(1))
+        warned = [r.getMessage() for r in caplog.records]
+        assert len(warned) == reseeds
+        assert warned[0] == ("re-seeding empty component 0 near component 2 "
+                             "(iteration 0)")
+        assert_close_fit(got, reference_em_fit(frames, 5, 4, Rng(1)))
+
     def test_strided_input_fits_like_its_copy(self):
         x = np.random.default_rng(13).normal(size=(3000, 7))
         assert not x[::3].flags.c_contiguous
@@ -432,12 +493,22 @@ class TestGmmClassify:
         with pytest.raises(DimensionError):
             gmm_classify([a, b], np.zeros((2, 4)))
 
-    def test_bit_identical_to_squaring_per_model(self):
+    @pytest.mark.parametrize("components", [(4, 4, 4), (3, 1, 5)],
+                             ids=["equal", "unequal"])
+    def test_bank_matches_each_model_scored_alone(self, components):
+        # one product over the stacked bank sums each score in another
+        # order than a model's own two products, so they agree to rounding
         rng = np.random.default_rng(14)
-        models = [random_model(rng, 4, 5) for _ in range(3)]
-        x = rng.normal(size=(5, 40))
-        want = [total_log_likelihood(m, x.T) / 40 for m in models]
-        assert np.array_equal(gmm_classify(models, x), want)
+        models = [random_model(rng, c, 5) for c in components]
+        for length in (1, 7, 40, 300):
+            x = rng.normal(size=(5, length)) * 2.0
+            want = [float(log_sum_exp_rows(log_densities(m, x.T)).sum())
+                    / length for m in models]
+            assert max_rel_diff(gmm_classify(models, x), want) <= REL_TOL
+
+    def test_empty_bank_rejected(self):
+        with pytest.raises(DimensionError, match="at least one class model"):
+            gmm_classify([], np.zeros((2, 4)))
 
 
 class TestLogPosteriorScores:
