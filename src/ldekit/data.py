@@ -4,9 +4,11 @@ random-crop batching, and the shifted-delta feature transform.
 Each class is a mixture of G Gaussian "phones" with first-order Markov
 dynamics over the phone index, so utterances have genuine temporal
 structure for the convolutional front-end to exploit. Phone centers are
-drawn per class, centered so no class is separable by its global mean
-alone, then rescaled so the mean pairwise center distance exceeds the
-frame noise by a configurable ratio.
+drawn per class from a standard normal and are not centered: each class
+keeps its own global mean, so averaging an utterance's frames alone
+already separates the classes. All centers share one rescaling, so the
+mean pairwise center distance exceeds the frame noise by a configurable
+ratio.
 
 A corpus file is an `ndcore.write_artifact` file: its JSON head's meta is
 {"kind": "corpus", "num_classes", "feature_dim", "labels"}, one label per

@@ -13,6 +13,10 @@ Gradients are hand-derived and exact, including the softmax coupling
 across centers, the optional per-center aggregation denominator, the
 softplus positivity mapping of the smoothing factors, and the final
 whole-vector length normalization.
+
+Training runs `lde_forward` on (B, D, L) batches, which keeps what
+`lde_backward` reads. Scoring runs `lde_encode` on one D x L sequence,
+forward only and component-major (C x L), as `gmm.py` scores frames.
 """
 
 from __future__ import annotations
@@ -125,14 +129,10 @@ class Dictionary:
 @dataclass
 class EncodedVector:
     """Fixed-size utterance representations of a batch: B x C x D
-    matrices `e`, flat view B x C*D, with per-member flags `zero_norm`
-    (B bools, the norm was too small to length-normalize) and `floored`
-    (B x C bools, True where the aggregation denominator was clamped).
-    """
+    matrices `e` and their flat view B x C*D. Which members' denominators
+    were clamped or norms vanished is in `LdeSaved`."""
 
     e: np.ndarray
-    zero_norm: np.ndarray
-    floored: np.ndarray
 
     @property
     def flat(self) -> np.ndarray:
@@ -169,6 +169,21 @@ def _check_batch(x: np.ndarray, feature_dim: int | None = None) -> np.ndarray:
     return x
 
 
+def _check_inputs(x: np.ndarray, dictionary: Dictionary,
+                  cfg: LdeConfig) -> np.ndarray:
+    if (dictionary.num_components != cfg.num_components
+            or dictionary.feature_dim != cfg.feature_dim):
+        raise DimensionError("dictionary shape does not match config")
+    return _check_batch(x, cfg.feature_dim)
+
+
+def _smoothing(dictionary: Dictionary, cfg: LdeConfig) -> np.ndarray:
+    """The C smoothing values the assignment softmax scales by."""
+    if cfg.smoothing_mode == SMOOTHING_SHARED:
+        return np.full(cfg.num_components, float(cfg.beta))
+    return dictionary.effective_smoothing()
+
+
 def lde_forward(x: np.ndarray, dictionary: Dictionary,
                 cfg: LdeConfig) -> tuple[EncodedVector, LdeSaved]:
     """Encode a (B, D, L) batch into (B, C, D) utterance vectors.
@@ -182,19 +197,13 @@ def lde_forward(x: np.ndarray, dictionary: Dictionary,
     Distances are expanded as ||x||^2 - 2 x.mu + ||mu||^2 and the residual
     sum as W^T X - (sum_t w[t, c]) mu_c, so no L x C x D tensor is built.
     """
-    if (dictionary.num_components != cfg.num_components
-            or dictionary.feature_dim != cfg.feature_dim):
-        raise DimensionError("dictionary shape does not match config")
-    x = _check_batch(x, cfg.feature_dim)
+    x = _check_inputs(x, dictionary, cfg)
     batch, _, num_frames = x.shape
     frames = x.transpose(0, 2, 1)  # B x L x D view
     centers = dictionary.centers.value.copy()  # updates are in place
 
     sq = sq_dists(frames, centers)
-    if cfg.smoothing_mode == SMOOTHING_SHARED:
-        s_eff = np.full(cfg.num_components, float(cfg.beta))
-    else:
-        s_eff = dictionary.effective_smoothing()
+    s_eff = _smoothing(dictionary, cfg)
     weights = softmax_rows(-sq * s_eff)
 
     mass = weights.sum(axis=1)  # B x C
@@ -217,7 +226,34 @@ def lde_forward(x: np.ndarray, dictionary: Dictionary,
     saved = LdeSaved(x=x, centers=centers, sq_dists=sq, weights=weights,
                      s_eff=s_eff, denom=denom, floored=floored,
                      pre_norm=pre_norm, zero_norm=zero_norm, cfg=cfg)
-    return EncodedVector(e, zero_norm, floored), saved
+    return EncodedVector(e), saved
+
+
+def lde_encode(x: np.ndarray, dictionary: Dictionary,
+               cfg: LdeConfig) -> np.ndarray:
+    """Forward only: one D x L sequence to its flat C*D vector, as
+    `lde_forward` computes it, with the same floor and zero-norm guards,
+    but keeping nothing for a backward pass. Distances and weights are
+    C x L, so the softmax reduces over C contiguous rows of L."""
+    x = _check_inputs(np.asarray(x, dtype=np.float64)[None], dictionary,
+                      cfg)[0]
+    centers = dictionary.centers.value
+    weights = sq_dists(centers, x.T)  # the distance is symmetric
+    weights *= -_smoothing(dictionary, cfg)[:, None]
+    weights -= weights.max(axis=0)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=0)
+    mass = weights.sum(axis=1)
+    e = weights @ x.T
+    e -= mass[:, None] * centers
+    if cfg.aggregation_mode == AGG_MEAN:
+        e /= float(x.shape[1])
+    else:
+        e /= np.maximum(mass, DENOM_FLOOR)[:, None]
+    flat = e.reshape(1, -1)
+    if cfg.length_normalize:
+        flat = length_normalize(flat)[0]
+    return flat[0]
 
 
 def lde_backward(saved: LdeSaved, grad_out: np.ndarray,

@@ -9,15 +9,20 @@ zero-padded channels), so a block with all-zero weights is exactly the
 (possibly downsampled) identity. Forward and backward are written by
 hand; there is no autodiff anywhere in this package.
 
-Every layer takes and returns (B, channels, length) batches; one
-utterance is a batch of one. Each convolution's forward pass, weight
-gradient and input gradient are BLAS matrix products over the whole
-batch against an im2col patch matrix.
+Every layer takes and returns (B, channels, length) batches. Each
+convolution's forward pass, weight gradient and input gradient are BLAS
+matrix products over the whole batch against an im2col patch matrix.
+Training runs `forward_batch`, which keeps every patch matrix and
+activation for `backward_batch`. Scoring runs `apply`, forward only:
+each convolution drops its patch matrix once the product is taken, and
+each activation is one pass over a layer's input, so a scored utterance
+(a batch of one) holds one layer's patches at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -111,10 +116,12 @@ def _same_padding(length: int, kernel: int, stride: int):
     return out_len, left, total - left
 
 
+@lru_cache(maxsize=4096)
 def _tap_windows(length: int, kernel: int, stride: int):
     """Per kernel tap k: the output positions [lo, hi) whose input index
     j * stride + k - left lies inside the sequence, and the input slice
-    they read. Outside that window a tap sees same-padding zeros."""
+    they read. Outside that window a tap sees same-padding zeros. The
+    plan depends only on the shape, so it is built once per shape."""
     out_len, left, _ = _same_padding(length, kernel, stride)
     windows = []
     for k in range(kernel):
@@ -124,7 +131,33 @@ def _tap_windows(length: int, kernel: int, stride: int):
         start = lo * stride + offset
         windows.append((lo, hi, slice(start, start + (hi - lo - 1) * stride + 1,
                                       stride)))
-    return out_len, windows
+    return out_len, tuple(windows)
+
+
+def _activate(kind: str, x: np.ndarray, out=None) -> np.ndarray:
+    """The activation alone, for the forward-only pass; `out=x` takes it
+    in place."""
+    if kind == "relu":
+        return np.maximum(x, 0.0, out=out)
+    if kind == "tanh":
+        return np.tanh(x, out=out)
+    return x
+
+
+def _patches(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """The (B, I*K, out_len) im2col matrix of a (B, I, L) batch:
+    patches[b, i, k, j] = x[b, i, j*stride + k - left], zero outside the
+    sequence, where only the pad columns that exist are zeroed."""
+    batch, channels, length = x.shape
+    out_len, windows = _tap_windows(length, kernel, stride)
+    patches = np.empty((batch, channels, kernel, out_len))
+    for k, (lo, hi, src) in enumerate(windows):
+        if lo:
+            patches[:, :, k, :lo] = 0.0
+        if hi < out_len:
+            patches[:, :, k, hi:] = 0.0
+        patches[:, :, k, lo:hi] = x[:, :, src]
+    return patches.reshape(batch, channels * kernel, out_len)
 
 
 class Conv1d:
@@ -135,6 +168,7 @@ class Conv1d:
     the batch and the input gradient as the transposed product. Patches
     are read, and input gradients scattered, tap by tap inside each tap's
     in-range window (`_tap_windows`), so no padded copy is built.
+    `forward` keeps its patches for `backward`; `apply` drops them.
     """
 
     def __init__(self, name, in_channels, out_channels, kernel, stride,
@@ -155,19 +189,18 @@ class Conv1d:
         return [self.weight, self.bias]
 
     def forward(self, x: np.ndarray):
-        batch, _, length = x.shape
-        out_len, windows = _tap_windows(length, self.kernel, self.stride)
-        # patches[b, i, k, j] = x[b, i, j*stride + k - left], zero outside
-        patches = np.empty((batch, self.in_channels, self.kernel, out_len))
-        for k, (lo, hi, src) in enumerate(windows):
-            patches[:, :, k, :lo] = 0.0
-            patches[:, :, k, lo:hi] = x[:, :, src]
-            patches[:, :, k, hi:] = 0.0
-        flat = patches.reshape(batch, self.in_channels * self.kernel, out_len)
+        flat = _patches(x, self.kernel, self.stride)
+        return self._affine(flat), (flat, x.shape[2])
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Forward only; the patches die with the call."""
+        return self._affine(_patches(x, self.kernel, self.stride))
+
+    def _affine(self, flat: np.ndarray) -> np.ndarray:
         w2 = self.weight.value.reshape(self.out_channels, -1)
         y = np.matmul(w2, flat)
         y += self.bias.value[:, None]
-        return y, (flat, length)
+        return y
 
     def backward(self, cache, dy: np.ndarray, input_grad: bool = True):
         """Accumulates the parameter gradients; returns the input gradient,
@@ -222,6 +255,14 @@ class ResidualBlock:
         y[:, :self.in_channels, :] += x[:, :, ::self.stride]
         return y, (ca1, cc1, ca2, cc2)
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Forward only. Each activation is one contiguous pass, the second
+        in place: conv1's output is needed for nothing else."""
+        h = self.conv1.apply(_activate(self.activation, x))
+        y = self.conv2.apply(_activate(self.activation, h, out=h))
+        y[:, :self.in_channels, :] += x[:, :, ::self.stride]
+        return y
+
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
         ca1, cc1, ca2, cc2 = cache
         da2 = self.conv2.backward(cc2, dy)
@@ -255,8 +296,7 @@ class Frontend:
             out += b.params()
         return out
 
-    def forward_batch(self, x: np.ndarray):
-        """(B, D_in, L_in) to (B, D_out, L_out), plus the per-layer caches."""
+    def _check(self, x: np.ndarray) -> None:
         if x.ndim != 3 or x.shape[1] != self.spec.in_dim:
             raise DimensionError(
                 f"expected (B, {self.spec.in_dim}, L) input, got {x.shape}")
@@ -265,6 +305,18 @@ class Frontend:
                 f"input length {x.shape[2]} below the minimum "
                 f"{self.spec.min_length} required by "
                 f"{self.spec.num_downsamples} downsampling stages")
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """(B, D_in, L_in) to (B, D_out, L_out), forward only."""
+        self._check(x)
+        h = self.stem.apply(x)
+        for block in self.blocks:
+            h = block.apply(h)
+        return h
+
+    def forward_batch(self, x: np.ndarray):
+        """(B, D_in, L_in) to (B, D_out, L_out), plus the per-layer caches."""
+        self._check(x)
         caches = []
         h, cache = self.stem.forward(x)
         caches.append(cache)

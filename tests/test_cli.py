@@ -480,6 +480,21 @@ def test_eval_dimension_mismatch(workspace, capsys):
     assert "dim" in capsys.readouterr().err
 
 
+def test_eval_too_short_utterance(workspace, capsys):
+    # the front-end downsamples once, so it needs at least 2 frames
+    tmp_path, config = trained(workspace)
+    corpus = tmp_path / "short.bin"
+    write_corpus(corpus, [Utterance("u0", 0, Rng(0).normal((6, 40))),
+                          Utterance("u1", 1, Rng(1).normal((6, 1)))], 3, 6)
+    scores = tmp_path / "runs" / "s4.txt"
+    code = main(["eval", "--checkpoint", str(tmp_path / "runs" / "model.ckpt"),
+                 "--corpus", str(corpus), "--scores", str(scores)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "minimum 2" in err
+    assert not scores.exists()
+
+
 def test_eval_refuses_overwrite(workspace):
     tmp_path, config = trained(workspace)
     args = ["eval", "--checkpoint", str(tmp_path / "runs" / "model.ckpt"),

@@ -134,8 +134,8 @@ class TestLdeForward:
                         aggregation_mode=AGG_NORMALIZED, length_normalize=False)
         d = Dictionary(np.array([[0.0], [100.0]]), np.zeros((2, 1)))
         x = np.zeros((1, 1, 3))
-        enc, _ = lde_forward(x, d, cfg)
-        assert enc.floored.tolist() == [[False, True]]
+        enc, saved = lde_forward(x, d, cfg)
+        assert saved.floored.tolist() == [[False, True]]
         assert np.isfinite(enc.flat).all()
 
     def test_empty_sequence_rejected(self):
@@ -324,11 +324,12 @@ class TestBatchedParity:
         else:
             assert np.all(d.smoothing.grad == 0)
 
-        assert enc.zero_norm.tolist() == [False, False, lennorm, False]
+        assert saved.zero_norm.tolist() == [False, False, lennorm, False]
         floored = [[False] * 3, [False, True, True], [False, True, True],
                    [False] * 3]
-        assert enc.floored.tolist() == (floored if aggregation == AGG_NORMALIZED
-                                        else [[False] * 3] * 4)
+        assert saved.floored.tolist() == (floored
+                                          if aggregation == AGG_NORMALIZED
+                                          else [[False] * 3] * 4)
 
 
 class TestTapForward:

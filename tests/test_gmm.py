@@ -189,9 +189,9 @@ def lde_as_gmm(means, var, x):
     cfg = LdeConfig(means.shape[0], means.shape[1],
                     smoothing_mode=SMOOTHING_SHARED, beta=1.0 / (2.0 * var),
                     aggregation_mode=AGG_NORMALIZED, length_normalize=False)
-    enc, _ = lde_forward(x[None], Dictionary(means, np.zeros((len(means), 1))),
-                         cfg)
-    return enc.e[0], enc.floored[0]
+    enc, saved = lde_forward(x[None],
+                             Dictionary(means, np.zeros((len(means), 1))), cfg)
+    return enc.e[0], saved.floored[0]
 
 
 class TestLdeContainsSupervector:

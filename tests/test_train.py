@@ -17,7 +17,7 @@ from ldekit.encoding import (
     length_normalize,
     tap_forward,
 )
-from ldekit.frontend import ConvSpec, Frontend, StageSpec
+from ldekit.frontend import ConvSpec, Frontend, LengthError, StageSpec
 from ldekit.gmm import GmmModel
 from ldekit.ndcore import DimensionError, Param, Rng
 from ldekit.train import (
@@ -43,6 +43,7 @@ from ldekit.train import (
     save_model,
     train_model,
 )
+from test_encoding import ALL_MODE_COMBOS, mixed_batch
 
 
 def toy_utts(count, dim, rng, lmin=10, lmax=30, num_classes=2):
@@ -249,6 +250,30 @@ class TestModel:
             model_config_from_dict(record)
 
 
+# no front-end; kernel 3 with one downsampling block; kernel 5 with a
+# flat stage then a two-block stage; each with every activation
+PARITY_FRONTENDS = [None] + [
+    ConvSpec(in_dim=5, stages=stages, kernel=kernel, activation=act)
+    for kernel, stages in (
+        (3, [StageSpec(6, 1, True)]),
+        (5, [StageSpec(4, 1, False), StageSpec(6, 2, True)]))
+    for act in ("relu", "tanh", "linear")]
+
+
+def parity_model_config(encoder, frontend, mode, in_dim=5, components=4):
+    if encoder == "tap":
+        return ModelConfig(in_dim=in_dim, num_classes=3, frontend=frontend)
+    smoothing, aggregation, lennorm = mode
+    return lde_model_config(in_dim=in_dim, components=components,
+                            frontend=frontend, smoothing_mode=smoothing,
+                            beta=0.8, aggregation_mode=aggregation,
+                            length_normalize=lennorm)
+
+
+def rel_diff(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
 class TestPooledScoring:
     def test_permutation_invariance(self):
         rng = Rng(21)
@@ -278,16 +303,70 @@ class TestPooledScoring:
 
     @pytest.mark.parametrize("encoder", ["tap", "lde"])
     def test_batch_logits_match_infer(self, encoder):
-        fe = ConvSpec(in_dim=5, stages=[StageSpec(6, 1, True)])
-        lde = LdeConfig(4, 6) if encoder == "lde" else None
-        model = Model(ModelConfig(in_dim=5, num_classes=3, encoder=encoder,
-                                  lde=lde, frontend=fe), Rng(3))
-        feats = Rng(4).normal((6, 5, 23))
-        logits, _ = model.forward_batch(feats)
-        for b in range(6):
-            single = infer(model, feats[b])
-            assert np.max(np.abs(logits[b] - single)) <= \
-                1e-12 * np.max(np.abs(single))
+        # the forward-only path against the training forward pass: every
+        # front-end shape below, each activation, every LDE mode, odd and
+        # even lengths from the shortest the front-end takes
+        modes = ALL_MODE_COMBOS if encoder == "lde" else [None]
+        for fe in PARITY_FRONTENDS:
+            for mode in modes:
+                cfg = parity_model_config(encoder, fe, mode)
+                model = Model(cfg, Rng(3))
+                model.classifier.bias.value[:] = Rng(5).normal((3, 1))
+                low = fe.min_length if fe is not None else 1
+                for length in list(range(low, low + 6)) + [23]:
+                    feats = Rng(length).normal((3, 5, length))
+                    logits, _ = model.forward_batch(feats)
+                    for b in range(3):
+                        assert rel_diff(infer(model, feats[b]), logits[b]) \
+                            <= 1e-12, (fe, mode, length)
+
+    @pytest.mark.parametrize("mode", ALL_MODE_COMBOS,
+                             ids=lambda mode: "-".join(map(str, mode)))
+    def test_infer_matches_at_the_floors(self, mode):
+        # member 1's and 2's far centers get no mass (normalized mode
+        # clamps their denominators); member 2's vector has zero norm
+        centers, x = mixed_batch(np.random.default_rng(17))
+        model = Model(parity_model_config("lde", None, mode, in_dim=2,
+                                          components=3), Rng(6))
+        model.dictionary.centers.value[...] = centers
+        model.classifier.bias.value[:] = Rng(5).normal((3, 1))
+        logits, cache = model.forward_batch(x)
+        saved = cache.encoder_saved
+        assert saved.floored.any() == (mode[1] == AGG_NORMALIZED)
+        assert saved.zero_norm[2] == mode[2]
+        for b in range(4):
+            assert rel_diff(infer(model, x[b]), logits[b]) <= 1e-12, b
+
+    def test_infer_keeps_no_backward_state(self):
+        spec = ConvSpec.desk_default(20)
+        model = Model(ModelConfig(in_dim=20, num_classes=4, encoder="lde",
+                                  lde=LdeConfig(8, spec.out_dim),
+                                  frontend=spec), Rng(0))
+        x = Rng(1).normal((20, 1500))
+        peaks = []
+        for run in (lambda: infer(model, x),
+                    lambda: model.forward_batch(x[None])):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1], peaks
+
+    @pytest.mark.parametrize("encoder", ["tap", "lde"])
+    def test_infer_rejects_bad_input(self, encoder):
+        fe = ConvSpec(in_dim=5, stages=[StageSpec(6, 1, True),
+                                        StageSpec(6, 1, True)])
+        for spec in (None, fe):
+            model = Model(parity_model_config(encoder, spec,
+                                              ALL_MODE_COMBOS[0]), Rng(0))
+            with pytest.raises(DimensionError):
+                infer(model, np.ones((4, 8)))
+            with pytest.raises(DimensionError):
+                infer(model, np.ones((1, 5, 8)))
+        with pytest.raises(LengthError, match="minimum 4"):
+            infer(model, np.ones((5, 3)))
 
 
 def tiny_lde_model():
