@@ -10,7 +10,9 @@ utterance list, which reads only each batch's crops, and `eval` and `gmm`
 read one utterance at a time, so no command holds a whole corpus.
 
 Exit codes: 0 success, 1 usage or config error, 2 data/format error,
-3 numerical failure.
+3 numerical failure. Every command prints only after its artifacts are
+written, so a stdout closed early (`ldekit eval ... | head -1`) ends the
+report, not the run: the status is still 0.
 """
 
 from __future__ import annotations
@@ -155,10 +157,12 @@ def cmd_gen_data(args) -> int:
         test_path = rc.paths.test_corpus
     _prepare_output(train_path, args.force)
     _prepare_output(test_path, args.force)
+    written = []
     for split, path in (("train", train_path), ("test", test_path)):
         count = write_corpus(path, generate_split(rc.data, split),
                              rc.data.num_classes, rc.data.feature_dim)
-        print(f"wrote {count} {split} utterances to {path}")
+        written.append(f"wrote {count} {split} utterances to {path}")
+    print("\n".join(written))
     return 0
 
 
@@ -328,13 +332,13 @@ def cmd_gmm(args) -> int:
                 f"corpus ({num_classes}, dim {in_dim})")
         models, histories, counts = fit_gmm_bank(train.utterances,
                                                  num_classes, g)
-        for k, (history, count) in enumerate(zip(histories, counts)):
-            print(f"class L{k}: {g.components} components on "
-                  f"{count} frames, final avg ll {history[-1] / count:.5f}")
         tset = score_gmm_bank(models, test.utterances, num_classes, g)
     save_gmm_bank(rc.paths.gmm_checkpoint, models,
                   meta={"run_config": config_to_dict(rc)})
     write_scores(rc.paths.gmm_scores, tset)
+    for k, (history, count) in enumerate(zip(histories, counts)):
+        print(f"class L{k}: {g.components} components on "
+              f"{count} frames, final avg ll {history[-1] / count:.5f}")
     print(f"bank: {rc.paths.gmm_checkpoint}")
     print(f"scores: {rc.paths.gmm_scores}")
     _print_metrics("all", tset)
@@ -399,7 +403,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout; every artifact is written before the
+        # first print, so only the report is lost. Python flushes stdout
+        # again at exit, which must not meet the closed pipe.
+        sys.stdout = open(os.devnull, "w")
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

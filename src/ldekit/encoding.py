@@ -14,9 +14,9 @@ across centers, the optional per-center aggregation denominator, the
 softplus positivity mapping of the smoothing factors, and the final
 whole-vector length normalization.
 
-Training runs `lde_forward` on (B, D, L) batches, which keeps what
-`lde_backward` reads. Scoring runs `lde_encode` on one D x L sequence,
-forward only and component-major (C x L), as `gmm.py` scores frames.
+Training and scoring both run `lde_forward`, on a (B, D, L) batch or a
+batch of one, component-major (B x C x L) on `ndcore.sq_dists`, as
+`gmm.py` scores frames; it keeps what `lde_backward` reads.
 """
 
 from __future__ import annotations
@@ -146,8 +146,8 @@ class LdeSaved:
 
     x: np.ndarray             # B x D x L input
     centers: np.ndarray       # C x D centers used in forward
-    sq_dists: np.ndarray      # B x L x C
-    weights: np.ndarray       # B x L x C, rows sum to 1
+    sq_dists: np.ndarray      # B x L x C view of the B x C x L distances
+    weights: np.ndarray       # B x L x C view of B x C x L, rows sum to 1
     s_eff: np.ndarray         # C, effective smoothing actually used
     denom: np.ndarray         # B x C aggregation denominators (L in mean mode)
     floored: np.ndarray       # B x C bools, True where denom was clamped
@@ -188,26 +188,29 @@ def lde_forward(x: np.ndarray, dictionary: Dictionary,
                 cfg: LdeConfig) -> tuple[EncodedVector, LdeSaved]:
     """Encode a (B, D, L) batch into (B, C, D) utterance vectors.
 
-    Weights: w[t, c] = softmax over c of -s_c * ||x_t - mu_c||^2, with s_c
+    Weights: w[c, t] = softmax over c of -s_c * ||x_t - mu_c||^2, with s_c
     either the shared constant or softplus of the learnable raw smoothing.
-    Aggregation: sum_t w[t, c] * (x_t - mu_c), divided by sum_t w[t, c]
+    Aggregation: sum_t w[c, t] * (x_t - mu_c), divided by sum_t w[c, t]
     in normalized mode or by L in mean mode. Length normalization, when
     configured, rescales the flattened C*D vector to unit Euclidean norm.
 
-    Distances are expanded as ||x||^2 - 2 x.mu + ||mu||^2 and the residual
-    sum as W^T X - (sum_t w[t, c]) mu_c, so no L x C x D tensor is built.
+    Distances and weights are B x C x L, component-major, so the softmax
+    reduces over C contiguous rows of L, and the residual sum is
+    W X^T - (sum_t w[c, t]) mu_c, so no C x D x L tensor is built.
     """
     x = _check_inputs(x, dictionary, cfg)
     batch, _, num_frames = x.shape
-    frames = x.transpose(0, 2, 1)  # B x L x D view
     centers = dictionary.centers.value.copy()  # updates are in place
 
-    sq = sq_dists(frames, centers)
+    sq = sq_dists(centers, x)
     s_eff = _smoothing(dictionary, cfg)
-    weights = softmax_rows(-sq * s_eff)
+    # softmax_rows reduces the last axis of this B x L x C view, and its
+    # result keeps the view's B x C x L memory order
+    weights = softmax_rows((sq * -s_eff[:, None]).transpose(0, 2, 1))
+    weights = weights.transpose(0, 2, 1)
 
-    mass = weights.sum(axis=1)  # B x C
-    e = np.matmul(weights.transpose(0, 2, 1), frames)
+    mass = weights.sum(axis=2)  # B x C
+    e = weights @ x.transpose(0, 2, 1)
     e -= mass[:, :, None] * centers
     if cfg.aggregation_mode == AGG_MEAN:
         denom = np.full_like(mass, float(num_frames))
@@ -223,37 +226,11 @@ def lde_forward(x: np.ndarray, dictionary: Dictionary,
         flat, zero_norm = length_normalize(pre_norm)
         e = flat.reshape(e.shape)
 
-    saved = LdeSaved(x=x, centers=centers, sq_dists=sq, weights=weights,
-                     s_eff=s_eff, denom=denom, floored=floored,
-                     pre_norm=pre_norm, zero_norm=zero_norm, cfg=cfg)
+    saved = LdeSaved(x=x, centers=centers, sq_dists=sq.transpose(0, 2, 1),
+                     weights=weights.transpose(0, 2, 1), s_eff=s_eff,
+                     denom=denom, floored=floored, pre_norm=pre_norm,
+                     zero_norm=zero_norm, cfg=cfg)
     return EncodedVector(e), saved
-
-
-def lde_encode(x: np.ndarray, dictionary: Dictionary,
-               cfg: LdeConfig) -> np.ndarray:
-    """Forward only: one D x L sequence to its flat C*D vector, as
-    `lde_forward` computes it, with the same floor and zero-norm guards,
-    but keeping nothing for a backward pass. Distances and weights are
-    C x L, so the softmax reduces over C contiguous rows of L."""
-    x = _check_inputs(np.asarray(x, dtype=np.float64)[None], dictionary,
-                      cfg)[0]
-    centers = dictionary.centers.value
-    weights = sq_dists(centers, x.T)  # the distance is symmetric
-    weights *= -_smoothing(dictionary, cfg)[:, None]
-    weights -= weights.max(axis=0)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=0)
-    mass = weights.sum(axis=1)
-    e = weights @ x.T
-    e -= mass[:, None] * centers
-    if cfg.aggregation_mode == AGG_MEAN:
-        e /= float(x.shape[1])
-    else:
-        e /= np.maximum(mass, DENOM_FLOOR)[:, None]
-    flat = e.reshape(1, -1)
-    if cfg.length_normalize:
-        flat = length_normalize(flat)[0]
-    return flat[0]
 
 
 def lde_backward(saved: LdeSaved, grad_out: np.ndarray,
@@ -263,12 +240,12 @@ def lde_backward(saved: LdeSaved, grad_out: np.ndarray,
     `grad_out` is the loss gradient w.r.t. the layer output, (B, C, D) or
     flat (B, C*D). Returns the gradient w.r.t. the (B, D, L) input and
     accumulates the center and smoothing gradients (summed over the
-    batch) into the dictionary Params.
+    batch) into the dictionary Params. Runs B x C x L, as forward did.
     """
     cfg = saved.cfg
-    batch, _, num_comp = saved.weights.shape
-    x, centers, weights = saved.x, saved.centers, saved.weights
-    frames = x.transpose(0, 2, 1)
+    x, centers = saved.x, saved.centers
+    weights = saved.weights.transpose(0, 2, 1)
+    batch, num_comp, _ = weights.shape
     dim = x.shape[1]
     g = np.asarray(grad_out, dtype=np.float64)
     if g.shape not in ((batch, num_comp, dim), (batch, num_comp * dim)):
@@ -287,33 +264,32 @@ def lde_backward(saved: LdeSaved, grad_out: np.ndarray,
         g = np.where(live[:, None], (g - g_dot_y * y) / norm, g)
     g = g.reshape(batch, num_comp, dim)
 
-    # dL/dw[t,c] = g_c . (x_t - mu_c) / denom_c
-    g_dot_r = np.matmul(frames, g.transpose(0, 2, 1))
-    g_dot_r -= np.einsum("bcd,cd->bc", g, centers)[:, None, :]
-    dw = g_dot_r / saved.denom[:, None, :]
+    # dL/dw[c,t] = g_c . (x_t - mu_c) / denom_c
+    dw = g @ x
+    dw -= np.einsum("bcd,cd->bc", g, centers)[:, :, None]
+    dw /= saved.denom[:, :, None]
     if cfg.aggregation_mode == AGG_NORMALIZED:
         # denominator path: e_c = S_c / W_c adds -(g . e_c) / W_c, absent
         # where the floor clamped the denominator
         e = saved.pre_norm.reshape(g.shape)
         g_dot_e = np.einsum("bcd,bcd->bc", g, e)
-        dw -= np.where(saved.floored, 0.0, g_dot_e / saved.denom)[:, None, :]
+        dw -= np.where(saved.floored, 0.0, g_dot_e / saved.denom)[:, :, None]
 
-    # softmax over centers: u[t,c] = w[t,c] * (dw[t,c] - sum_m dw[t,m] w[t,m])
-    u = weights * (dw - np.einsum("blm,blm->bl", dw, weights)[:, :, None])
-    ds_eff = -np.einsum("blc,blc->c", u, saved.sq_dists)
+    # softmax over centers: u[c,t] = w[c,t] * (dw[c,t] - sum_m dw[m,t] w[m,t])
+    u = weights * (dw - np.einsum("bml,bml->bl", dw, weights)[:, None, :])
+    ds_eff = -np.einsum("bcl,bcl->c", u, saved.sq_dists.transpose(0, 2, 1))
 
-    # d(loss)/d(x_t - mu_c) = a[t,c] g_c + q[t,c] (x_t - mu_c), with the
+    # d(loss)/d(x_t - mu_c) = a[c,t] g_c + q[c,t] (x_t - mu_c), with the
     # aggregation coefficient a = w / denom and q = 2 * dL/d(sq dist)
-    a = weights / saved.denom[:, None, :]
-    q = -2.0 * u * saved.s_eff
-    q_rows = q.sum(axis=2)  # B x L
-    grad_x = np.matmul(g.transpose(0, 2, 1), a.transpose(0, 2, 1))
-    grad_x -= np.matmul(centers.T, q.transpose(0, 2, 1))
-    grad_x += x * q_rows[:, None, :]
+    a = weights / saved.denom[:, :, None]
+    q = u * (-2.0 * saved.s_eff)[:, None]
+    grad_x = g.transpose(0, 2, 1) @ a
+    grad_x -= centers.T @ q
+    grad_x += x * q.sum(axis=1)[:, None, :]
 
-    grad_centers = np.einsum("bc,bcd->cd", a.sum(axis=1), g)
-    grad_centers += np.matmul(q.transpose(0, 2, 1), frames).sum(axis=0)
-    grad_centers -= q.sum(axis=(0, 1))[:, None] * centers
+    grad_centers = np.einsum("bc,bcd->cd", a.sum(axis=2), g)
+    grad_centers += (q @ x.transpose(0, 2, 1)).sum(axis=0)
+    grad_centers -= q.sum(axis=(0, 2))[:, None] * centers
     dictionary.centers.grad -= grad_centers
     if cfg.smoothing_mode == SMOOTHING_PER_COMPONENT:
         # chain through softplus: d s_eff / d raw = sigmoid(raw)
@@ -346,4 +322,4 @@ def hard_assign(x: np.ndarray, dictionary: Dictionary) -> np.ndarray:
     if x.ndim != 2 or x.shape[0] != dictionary.feature_dim:
         raise DimensionError(f"expected one {dictionary.feature_dim} x L "
                              f"sequence, got shape {x.shape}")
-    return np.argmin(sq_dists(x.T, dictionary.centers.value), axis=1)
+    return np.argmin(sq_dists(dictionary.centers.value, x), axis=0)

@@ -10,7 +10,8 @@ aggregation, so that encoder stands in for the GMM supervector.
 
 A `GmmModel` computes its natural parameters once. EM expands them
 against its pooled frames and their squares in two products;
-`gmm_classify` scores a whole bank in one, against [x; x^2].
+`gmm_classify` scores a whole bank in one, against [x; x^2]. Both run on
+`ndcore.expand`, component-major, as k-means' assignment does.
 """
 
 from __future__ import annotations
@@ -20,7 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ndcore import DimensionError, Rng, log_sum_exp_rows, softmax_rows
+from .ndcore import (
+    DimensionError,
+    Rng,
+    expand,
+    log_sum_exp_rows,
+    softmax_rows,
+    sq_dists,
+)
 
 log = logging.getLogger(__name__)
 
@@ -101,19 +109,6 @@ def _check_sequence(model: GmmModel, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _expand(lin: np.ndarray, quad: np.ndarray | None, const: np.ndarray,
-            x: np.ndarray, x_sq: np.ndarray | None) -> np.ndarray:
-    """C x N values lin . x + quad . x^2 + const of D x N frames `x` and
-    their squares `x_sq`, from C x D natural parameters `lin` and `quad`
-    and C constants; `quad` None drops the x^2 term. Component-major, so
-    every reduction over components runs over C contiguous rows of N."""
-    out = lin @ x
-    if quad is not None:
-        out += quad @ x_sq
-    out += const[:, None]
-    return out
-
-
 def log_densities(model: GmmModel, frames: np.ndarray,
                   frames_sq: np.ndarray | None = None) -> np.ndarray:
     """Per-frame, per-component log of weight * diagonal Gaussian density.
@@ -125,8 +120,8 @@ def log_densities(model: GmmModel, frames: np.ndarray,
     """
     if frames_sq is None:
         frames_sq = frames ** 2
-    return _expand(model.natural[:, :model.dim], model.natural[:, model.dim:],
-                   model.log_norm, frames.T, frames_sq.T).T
+    return expand(model.natural[:, :model.dim], model.natural[:, model.dim:],
+                  model.log_norm, frames.T, frames_sq.T).T
 
 
 def posteriors(model: GmmModel, x: np.ndarray) -> np.ndarray:
@@ -150,21 +145,20 @@ def accumulate_stats(model: GmmModel, x: np.ndarray) -> BaumWelchStats:
     return BaumWelchStats(n=n, f=f)
 
 
-def _assign(centers: np.ndarray, x: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """C x N one-hot of each of the D x N frames' nearest center, and the
-    C x N scores mu . x - ||mu||^2 / 2 it maximizes: -||x - mu||^2 / 2 up
+def _assign(centers: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """C x N one-hot of each of the D x N frames' nearest center, the
+    argmax of the C x N scores mu . x - ||mu||^2 / 2: -||x - mu||^2 / 2 up
     to each frame's own ||x||^2 / 2. One product with the one-hot gives
     every cluster's sum, so no cluster's members are gathered. Ties go to
     the lowest center, as `argmax` breaks them; `argmax` over the C rows
     itself runs slower than C row comparisons with their maximum."""
-    score = _expand(centers, None, -0.5 * (centers ** 2).sum(axis=1), x, None)
+    score = expand(centers, None, -0.5 * (centers ** 2).sum(axis=1), x, None)
     top = score.max(axis=0)
     nearest = np.zeros(score.shape[1], dtype=np.intp)
     for c in range(len(centers) - 1, -1, -1):
         np.copyto(nearest, c, where=score[c] == top)
     onehot = np.arange(len(centers))[:, None] == nearest
-    return onehot.astype(np.float64), score
+    return onehot.astype(np.float64)
 
 
 def _kmeans(frames: np.ndarray, num_components: int, iters: int,
@@ -175,15 +169,13 @@ def _kmeans(frames: np.ndarray, num_components: int, iters: int,
     centers = frames[rng.choice(len(frames), num_components,
                                 replace=False)].copy()
     for _ in range(iters):
-        onehot, score = _assign(centers, x)
+        onehot = _assign(centers, x)
         counts = onehot.sum(axis=1)
         full = counts > 0
         centers[full] = (onehot @ frames)[full] / counts[full, None]
         for c in np.flatnonzero(~full):
-            # re-seed an empty cluster at the frame farthest from its
-            # center: ||x - mu_c||^2 = ||x||^2 - 2 score_c
-            far = np.einsum("dn,dn->n", x, x) - 2.0 * score[c]
-            centers[c] = frames[np.argmax(far)]
+            # re-seed an empty cluster at the frame farthest from its center
+            centers[c] = frames[np.argmax(sq_dists(centers[c:c + 1], x)[0])]
     return centers
 
 
@@ -236,7 +228,7 @@ def em_fit(frames: np.ndarray, num_components: int, iters: int,
 
     centers = _kmeans(frames, num_components, 10, rng)
     x_sq = x ** 2
-    onehot = _assign(centers, x)[0]
+    onehot = _assign(centers, x)
     counts = onehot.sum(axis=1)
     sizes = np.maximum(counts, 1.0)
     mean = (onehot @ frames) / sizes[:, None]
@@ -303,8 +295,8 @@ def gmm_classify(models: list[GmmModel], x: np.ndarray) -> np.ndarray:
     for k, m in enumerate(models):
         natural[k, :len(m.weights)] = m.natural
         log_norm[k, :len(m.weights)] = m.log_norm
-    dens = _expand(natural.reshape(-1, 2 * dim), None, log_norm.reshape(-1),
-                   stacked, None).reshape(len(models), rows, length)
+    dens = expand(natural.reshape(-1, 2 * dim), None, log_norm.reshape(-1),
+                  stacked, None).reshape(len(models), rows, length)
     top = dens.max(axis=1)
     dens -= top[:, None]
     np.exp(dens, out=dens)

@@ -1,8 +1,10 @@
 """Dense numeric substrate shared by every other module.
 
-Frame-to-center squared distances for the dictionary encoder's soft and
-hard assignment come from `sq_dists`. Randomness goes through `Rng`,
-a counter-based Philox generator that can be split into independent,
+Component-major products of C x D parameters against D x N frames come
+from `expand`, which scores mixture components; `sq_dists`, built on it,
+is the one frame-to-center squared distance, for the dictionary encoder,
+hard assignment and k-means. Randomness goes through `Rng`, a
+counter-based Philox generator that can be split into independent,
 reproducible child streams so data generation, parameter init and batch
 cropping never perturb each other's draws. Every artifact file is written
 through `atomic_write`, so a failed write never leaves a partial file.
@@ -142,15 +144,28 @@ def read_artifact(path, error) -> tuple[dict, dict[str, np.ndarray]]:
     return meta, arrays
 
 
-def sq_dists(frames: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """N x C squared distances from N x D frames (or a B x N x D batch) to
-    C x D centers. Expanded as ||x||^2 - 2 x.mu + ||mu||^2 to avoid an
-    N x C x D intermediate; ||x||^2 is a product with a C x D block of
-    ones, which gives it the result's shape."""
-    sq = (frames ** 2) @ np.ones_like(centers).T
-    cross = frames @ centers.T
-    const = (centers ** 2).sum(axis=1)
-    return sq - 2.0 * cross + const[None, :]
+def expand(lin: np.ndarray, quad: np.ndarray | None, const: np.ndarray,
+           x: np.ndarray, x_sq: np.ndarray | None) -> np.ndarray:
+    """C x N values lin . x + quad . x^2 + const of D x N frames `x` and
+    their squares `x_sq` (or B x C x N of a B x D x N batch), from C x D
+    parameters `lin` and `quad` and C constants; `quad` None drops the
+    x^2 term. Component-major, so every reduction over components runs
+    over C contiguous rows of N."""
+    out = lin @ x
+    if quad is not None:
+        out += quad @ x_sq
+    out += const[:, None]
+    return out
+
+
+def sq_dists(centers: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """C x N squared distances from C x D centers to D x N frames, or
+    B x C x N for a B x D x N batch: -2 mu.x + ||mu||^2 + ||x||^2, an
+    `expand` plus each frame's squared norm, so no C x D x N tensor is
+    built."""
+    out = expand(-2.0 * centers, None, (centers ** 2).sum(axis=1), x, None)
+    out += np.einsum("...dn,...dn->...n", x, x)[..., None, :]
+    return out
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:

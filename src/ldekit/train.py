@@ -12,12 +12,12 @@ slice at most SLICE_FRAMES crop frames: the step is bound by memory
 traffic, not by FLOPs, and small slices keep each convolution's im2col
 patch matrix near cache size at every crop length (see `batch_loss`).
 Scoring does not run the training pass: `infer` takes one whole
-utterance through the forward-only `Frontend.apply` and `lde_encode`,
-which keep nothing for a backward pass. A checkpoint, of a model or of
-a mixture bank, is an `ndcore.write_artifact` file: the JSON head's meta
-(its "kind", "model" or "gmm", and what rebuilds the model or the bank)
-plus one float64 array per parameter, named as the parameter, so a
-reload is bit for bit.
+utterance through the forward-only `Frontend.apply`, which keeps no patch
+matrix, and `lde_forward` as a batch of one, whose saved state it drops.
+A checkpoint, of a model or of a mixture bank, is an
+`ndcore.write_artifact` file: the JSON head's meta (its "kind", "model"
+or "gmm", and what rebuilds the model or the bank) plus one float64 array
+per parameter, named as the parameter, so a reload is bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .encoding import (
     Dictionary,
     LdeConfig,
     lde_backward,
-    lde_encode,
     lde_forward,
     tap_forward,
 )
@@ -284,21 +283,22 @@ class Model:
 def infer(model: Model, feats: np.ndarray) -> np.ndarray:
     """Class logits for one whole utterance (D x L), no cropping.
 
-    Forward only: the front-end's `apply`, then `lde_encode` or the mean
-    over time, then one matrix-vector product. No patch matrix,
-    activation or encoder state is kept for a backward pass, so the
+    Forward only: the front-end's `apply`, then `lde_forward` on a batch
+    of one or the mean over time, then one matrix-vector product. No
+    patch matrix or activation is kept for a backward pass, so the
     logits equal `Model.forward_batch`'s up to rounding.
     """
-    hidden = np.asarray(feats, dtype=np.float64)
-    if hidden.ndim != 2 or hidden.shape[0] != model.cfg.in_dim:
+    feats = np.asarray(feats, dtype=np.float64)
+    if feats.ndim != 2 or feats.shape[0] != model.cfg.in_dim:
         raise DimensionError(f"expected one {model.cfg.in_dim} x L "
-                             f"utterance, got shape {hidden.shape}")
+                             f"utterance, got shape {feats.shape}")
+    hidden = feats[None]
     if model.frontend is not None:
-        hidden = model.frontend.apply(hidden[None])[0]
+        hidden = model.frontend.apply(hidden)
     if model.cfg.encoder == ENCODER_LDE:
-        embed = lde_encode(hidden, model.dictionary, model.cfg.lde)
+        embed = lde_forward(hidden, model.dictionary, model.cfg.lde)[0].flat[0]
     else:
-        embed = tap_forward(hidden[None])[0]
+        embed = tap_forward(hidden)[0]
     return (model.classifier.weights.value @ embed
             + model.classifier.bias.value[:, 0])
 

@@ -1,4 +1,7 @@
 import configparser
+import contextlib
+import errno
+import io
 import os
 import subprocess
 import sys
@@ -239,6 +242,52 @@ def test_exit_code_contract(monkeypatch, capsys, exc_type, code, prefix):
     monkeypatch.setattr(cli, "cmd_train", failing)
     assert main(["train", "--config", "any.ini"]) == code
     assert capsys.readouterr().err == f"{prefix}: boom\n"
+
+
+class ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("command, outputs", [
+    ("gen-data", ["data/train.bin", "data/test.bin"]),
+    ("gmm", ["runs/gmm.ckpt", "runs/gmm_scores.txt"]),
+])
+def test_closed_stdout_ends_the_report_not_the_run(workspace, capsys,
+                                                   command, outputs):
+    tmp_path, config = workspace
+    assert main([command, "--config", config, "--force"]) == 0
+    normal = {name: (tmp_path / name).read_bytes() for name in outputs}
+    for name in outputs:
+        (tmp_path / name).unlink()
+    capsys.readouterr()
+    with contextlib.redirect_stdout(ClosedPipe()):
+        assert main([command, "--config", config]) == 0
+        sys.stdout.close()  # the devnull stream main switched to
+    assert capsys.readouterr().err == ""
+    assert {name: (tmp_path / name).read_bytes()
+            for name in outputs} == normal
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_pipe_exits_cleanly(workspace, unbuffered):
+    """A real pipe closed at its read end: buffered, the report meets it
+    only when stdout is flushed, which must not happen at exit."""
+    tmp_path, config = workspace
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run([sys.executable, "-m", "ldekit", "gen-data",
+                              "--config", config, "--force"], env=env,
+                             stdout=write_end, stderr=subprocess.PIPE,
+                             text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("under", ["afile/model.ckpt", "afile/sub/model.ckpt"])

@@ -331,6 +331,19 @@ class TestBatchedParity:
                                           if aggregation == AGG_NORMALIZED
                                           else [[False] * 3] * 4)
 
+    def test_saved_distances_and_weights_are_frame_major(self):
+        # the forward pass runs component-major, but the gate and the
+        # backward pass read `sq_dists` and `weights` as B x L x C
+        rng = np.random.default_rng(19)
+        cfg = LdeConfig(3, 2)
+        _, x = mixed_batch(rng)
+        _, saved = lde_forward(x, make_dictionary(rng, cfg), cfg)
+        assert saved.sq_dists.shape == saved.weights.shape == (4, 6, 3)
+        residuals = x.transpose(0, 2, 1)[:, :, None, :] - saved.centers
+        ref = np.einsum("blcd,blcd->blc", residuals, residuals)
+        assert np.max(np.abs(saved.sq_dists - ref) / ref) <= 1e-10
+        assert np.max(np.abs(saved.weights.sum(axis=2) - 1.0)) <= 1e-12
+
 
 class TestTapForward:
     def test_constant_sequence(self):

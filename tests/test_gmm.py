@@ -236,7 +236,7 @@ def reference_kmeans(frames, num_components, iters, rng):
     centers = frames[rng.choice(n, num_components, replace=False)].copy()
     reseeds = 0
     for _ in range(iters):
-        d2 = sq_dists(frames, centers)
+        d2 = sq_dists(centers, frames.T).T
         assign = np.argmin(d2, axis=1)
         for c in range(num_components):
             members = frames[assign == c]
@@ -259,7 +259,7 @@ def reference_em_fit(frames, num_components, iters, rng):
     global_var = frames.var(axis=0)
     var_floor = np.maximum(VAR_FLOOR_FRACTION * global_var, 1e-12)
     centers, _ = reference_kmeans(frames, num_components, 10, rng)
-    assign = np.argmin(sq_dists(frames, centers), axis=1)
+    assign = np.argmin(sq_dists(centers, frames.T).T, axis=1)
     counts = np.maximum(np.bincount(assign, minlength=num_components), 1.0)
     variances = np.empty((num_components, dim))
     for c in range(num_components):
@@ -325,7 +325,8 @@ def test_assign_picks_argmax_rows_ties_included():
     centers[3] = centers[0]
     centers[[4, 5]] = centers[2]
     x = np.hstack([gen.normal(size=(4, 500)), centers[[2, 0, 6]].T])
-    onehot, score = _assign(centers, x)
+    onehot = _assign(centers, x)
+    score = centers @ x - 0.5 * (centers ** 2).sum(axis=1)[:, None]
     want = np.arange(7)[:, None] == score.argmax(axis=0)
     assert np.array_equal(onehot, want.astype(np.float64))
     assert onehot[[3, 4, 5]].sum() == 0

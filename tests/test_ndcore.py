@@ -19,18 +19,37 @@ from ldekit.ndcore import (
 from ldekit.train import Model, ModelConfig, save_gmm_bank, save_model
 
 
+def direct_sq_dists(centers, frames):
+    """C x N squared distances from the C x D x N residuals themselves."""
+    residuals = frames[None, :, :] - centers[:, :, None]
+    return np.einsum("cdn,cdn->cn", residuals, residuals)
+
+
 class TestSqDists:
+    SHAPES = [(1, 1, 1), (1, 5, 3), (4, 1, 2), (1, 1, 7), (3, 30, 16)]
+
     def test_matches_direct_residual_form(self):
         rng = np.random.default_rng(17)
-        for _ in range(20):
-            n, c, d = rng.integers(1, 40), rng.integers(1, 10), rng.integers(1, 30)
-            frames = rng.normal(size=(n, d)) * 2.0
+        shapes = self.SHAPES + [tuple(rng.integers(1, [10, 40, 30]))
+                                for _ in range(20)]
+        for c, n, d in shapes:
+            frames = rng.normal(size=(d, n)) * 2.0
             centers = rng.normal(size=(c, d))
-            residuals = frames[:, None, :] - centers[None, :, :]
-            ref = np.einsum("ncd,ncd->nc", residuals, residuals)
-            out = sq_dists(frames, centers)
-            assert out.shape == (n, c)
+            ref = direct_sq_dists(centers, frames)
+            out = sq_dists(centers, frames)
+            assert out.shape == (c, n)
             assert np.max(np.abs(out - ref) / ref) <= 1e-10
+
+    @pytest.mark.parametrize("c, n, d", SHAPES)
+    def test_batch_matches_each_member(self, c, n, d):
+        rng = np.random.default_rng(18)
+        batch = rng.normal(size=(3, d, n)) * 2.0
+        centers = rng.normal(size=(c, d))
+        out = sq_dists(centers, batch)
+        assert out.shape == (3, c, n)
+        for member, got in zip(batch, out):
+            ref = direct_sq_dists(centers, member)
+            assert np.max(np.abs(got - ref) / ref) <= 1e-10
 
 
 class TestSoftmaxRows:
