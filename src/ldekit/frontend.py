@@ -12,11 +12,11 @@ hand; there is no autodiff anywhere in this package.
 Every layer takes and returns (B, channels, length) batches. Each
 convolution's forward pass, weight gradient and input gradient are BLAS
 matrix products over the whole batch against an im2col patch matrix.
-Training runs `forward_batch`, which keeps every patch matrix and
-activation for `backward_batch`. Scoring runs `apply`, forward only:
-each convolution drops its patch matrix once the product is taken, and
-each activation is one pass over a layer's input, so a scored utterance
-(a batch of one) holds one layer's patches at a time.
+Training and scoring run the one `forward_batch`. With `keep` set, as
+in training, every layer returns the cache that `backward_batch` reads:
+each patch matrix and activation output. With `keep` off, as in scoring,
+each convolution drops its patch matrix once the product is taken, so a
+scored utterance (a batch of one) holds one layer's patches at a time.
 """
 
 from __future__ import annotations
@@ -91,21 +91,22 @@ class ConvSpec:
                    kernel=3, activation="relu")
 
 
-def _act_forward(kind: str, x: np.ndarray):
+def _activate(kind: str, x: np.ndarray, out=None) -> np.ndarray:
+    """The activation; `out=x` takes it in place."""
     if kind == "relu":
-        mask = x > 0
-        return x * mask, mask
+        return np.maximum(x, 0.0, out=out)
     if kind == "tanh":
-        y = np.tanh(x)
-        return y, y
-    return x, None
+        return np.tanh(x, out=out)
+    return x
 
 
-def _act_backward(kind: str, cache, dy: np.ndarray) -> np.ndarray:
+def _act_backward(kind: str, y: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """The input gradient, read from the activation's output `y`: ReLU's
+    y > 0 exactly where its input is, and tanh' = 1 - y**2."""
     if kind == "relu":
-        return dy * cache
+        return dy * (y > 0)
     if kind == "tanh":
-        return dy * (1.0 - cache ** 2)
+        return dy * (1.0 - y ** 2)
     return dy
 
 
@@ -134,16 +135,6 @@ def _tap_windows(length: int, kernel: int, stride: int):
     return out_len, tuple(windows)
 
 
-def _activate(kind: str, x: np.ndarray, out=None) -> np.ndarray:
-    """The activation alone, for the forward-only pass; `out=x` takes it
-    in place."""
-    if kind == "relu":
-        return np.maximum(x, 0.0, out=out)
-    if kind == "tanh":
-        return np.tanh(x, out=out)
-    return x
-
-
 def _patches(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     """The (B, I*K, out_len) im2col matrix of a (B, I, L) batch:
     patches[b, i, k, j] = x[b, i, j*stride + k - left], zero outside the
@@ -168,7 +159,7 @@ class Conv1d:
     the batch and the input gradient as the transposed product. Patches
     are read, and input gradients scattered, tap by tap inside each tap's
     in-range window (`_tap_windows`), so no padded copy is built.
-    `forward` keeps its patches for `backward`; `apply` drops them.
+    `forward` keeps its patches for `backward` only when `keep` is set.
     """
 
     def __init__(self, name, in_channels, out_channels, kernel, stride,
@@ -188,19 +179,14 @@ class Conv1d:
     def params(self):
         return [self.weight, self.bias]
 
-    def forward(self, x: np.ndarray):
+    def forward(self, x: np.ndarray, keep: bool = True):
+        """The output, plus the cache for `backward`: None unless `keep`,
+        so the patches die with the call."""
         flat = _patches(x, self.kernel, self.stride)
-        return self._affine(flat), (flat, x.shape[2])
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Forward only; the patches die with the call."""
-        return self._affine(_patches(x, self.kernel, self.stride))
-
-    def _affine(self, flat: np.ndarray) -> np.ndarray:
         w2 = self.weight.value.reshape(self.out_channels, -1)
         y = np.matmul(w2, flat)
         y += self.bias.value[:, None]
-        return y
+        return y, ((flat, x.shape[2]) if keep else None)
 
     def backward(self, cache, dy: np.ndarray, input_grad: bool = True):
         """Accumulates the parameter gradients; returns the input gradient,
@@ -247,28 +233,24 @@ class ResidualBlock:
     def params(self):
         return self.conv1.params() + self.conv2.params()
 
-    def forward(self, x: np.ndarray):
-        a1, ca1 = _act_forward(self.activation, x)
-        h1, cc1 = self.conv1.forward(a1)
-        a2, ca2 = _act_forward(self.activation, h1)
-        y, cc2 = self.conv2.forward(a2)
+    def forward(self, x: np.ndarray, keep: bool = True):
+        """The output, plus the cache for `backward` (None unless `keep`).
+        The second activation runs in place, since conv1's output is
+        needed for nothing else; the first may not, since the shortcut
+        reads x."""
+        a1 = _activate(self.activation, x)
+        h1, cc1 = self.conv1.forward(a1, keep)
+        a2 = _activate(self.activation, h1, out=h1)
+        y, cc2 = self.conv2.forward(a2, keep)
         y[:, :self.in_channels, :] += x[:, :, ::self.stride]
-        return y, (ca1, cc1, ca2, cc2)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Forward only. Each activation is one contiguous pass, the second
-        in place: conv1's output is needed for nothing else."""
-        h = self.conv1.apply(_activate(self.activation, x))
-        y = self.conv2.apply(_activate(self.activation, h, out=h))
-        y[:, :self.in_channels, :] += x[:, :, ::self.stride]
-        return y
+        return y, ((a1, cc1, a2, cc2) if keep else None)
 
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
-        ca1, cc1, ca2, cc2 = cache
+        a1, cc1, a2, cc2 = cache
         da2 = self.conv2.backward(cc2, dy)
-        dh1 = _act_backward(self.activation, ca2, da2)
+        dh1 = _act_backward(self.activation, a2, da2)
         da1 = self.conv1.backward(cc1, dh1)
-        dx = _act_backward(self.activation, ca1, da1)
+        dx = _act_backward(self.activation, a1, da1)
         dx[:, :, ::self.stride] += dy[:, :self.in_channels, :]
         return dx
 
@@ -296,7 +278,9 @@ class Frontend:
             out += b.params()
         return out
 
-    def _check(self, x: np.ndarray) -> None:
+    def forward_batch(self, x: np.ndarray, keep: bool = True):
+        """(B, D_in, L_in) to (B, D_out, L_out), plus the per-layer caches
+        for `backward_batch`, or None unless `keep`."""
         if x.ndim != 3 or x.shape[1] != self.spec.in_dim:
             raise DimensionError(
                 f"expected (B, {self.spec.in_dim}, L) input, got {x.shape}")
@@ -305,25 +289,12 @@ class Frontend:
                 f"input length {x.shape[2]} below the minimum "
                 f"{self.spec.min_length} required by "
                 f"{self.spec.num_downsamples} downsampling stages")
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """(B, D_in, L_in) to (B, D_out, L_out), forward only."""
-        self._check(x)
-        h = self.stem.apply(x)
+        h, cache = self.stem.forward(x, keep)
+        caches = [cache]
         for block in self.blocks:
-            h = block.apply(h)
-        return h
-
-    def forward_batch(self, x: np.ndarray):
-        """(B, D_in, L_in) to (B, D_out, L_out), plus the per-layer caches."""
-        self._check(x)
-        caches = []
-        h, cache = self.stem.forward(x)
-        caches.append(cache)
-        for block in self.blocks:
-            h, cache = block.forward(h)
+            h, cache = block.forward(h, keep)
             caches.append(cache)
-        return h, caches
+        return h, (caches if keep else None)
 
     def backward_batch(self, caches: list, dy: np.ndarray,
                        input_grad: bool = True):

@@ -11,9 +11,9 @@ runs forward and backward one slice of whole members at a time, each
 slice at most SLICE_FRAMES crop frames: the step is bound by memory
 traffic, not by FLOPs, and small slices keep each convolution's im2col
 patch matrix near cache size at every crop length (see `batch_loss`).
-Scoring does not run the training pass: `infer` takes one whole
-utterance through the forward-only `Frontend.apply`, which keeps no patch
-matrix, and `lde_forward` as a batch of one, whose saved state it drops.
+Scoring runs the same pass: `infer` takes one whole utterance through
+`Model.forward_batch` as a batch of one, with `keep` off, so no layer
+holds a patch matrix or saved state for a backward pass.
 A checkpoint, of a model or of a mixture bank, is an
 `ndcore.write_artifact` file: the JSON head's meta (its "kind", "model"
 or "gmm", and what rebuilds the model or the bank) plus one float64 array
@@ -245,11 +245,13 @@ class Model:
             frozen = {p.name for p in self.dictionary.params()}
         return [p for p in self.params() if p.name not in frozen]
 
-    def forward_batch(self, feats: np.ndarray) -> tuple[np.ndarray, BatchCache]:
-        """feats (B, D, L) -> logits (B, K) plus the backward cache."""
+    def forward_batch(self, feats: np.ndarray, keep: bool = True
+                      ) -> tuple[np.ndarray, BatchCache | None]:
+        """feats (B, D, L) -> logits (B, K) plus the backward cache, or
+        None unless `keep`."""
         feats = np.asarray(feats, dtype=np.float64)
         if self.frontend is not None:
-            hidden, fe_caches = self.frontend.forward_batch(feats)
+            hidden, fe_caches = self.frontend.forward_batch(feats, keep)
         else:
             hidden, fe_caches = feats, None
         if self.cfg.encoder == ENCODER_LDE:
@@ -258,7 +260,8 @@ class Model:
         else:
             embeds, enc_saved = tap_forward(hidden), hidden.shape[2]
         logits = self.classifier.forward_batch(embeds)
-        return logits, BatchCache(fe_caches, enc_saved, embeds)
+        return logits, (BatchCache(fe_caches, enc_saved, embeds) if keep
+                        else None)
 
     def backward_batch(self, cache: BatchCache, dlogits: np.ndarray) -> None:
         """Accumulates parameter gradients for a batch scored by
@@ -283,24 +286,17 @@ class Model:
 def infer(model: Model, feats: np.ndarray) -> np.ndarray:
     """Class logits for one whole utterance (D x L), no cropping.
 
-    Forward only: the front-end's `apply`, then `lde_forward` on a batch
-    of one or the mean over time, then one matrix-vector product. No
-    patch matrix or activation is kept for a backward pass, so the
-    logits equal `Model.forward_batch`'s up to rounding.
+    The training pass, `Model.forward_batch`, on a batch of one with
+    `keep` off: no patch matrix or saved state is kept for a backward
+    pass, and the logits are that pass's, bit for bit. A member of a
+    larger batch can differ in the last digit: numpy takes a one-row
+    classifier product by another BLAS routine than a many-row one.
     """
     feats = np.asarray(feats, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] != model.cfg.in_dim:
         raise DimensionError(f"expected one {model.cfg.in_dim} x L "
                              f"utterance, got shape {feats.shape}")
-    hidden = feats[None]
-    if model.frontend is not None:
-        hidden = model.frontend.apply(hidden)
-    if model.cfg.encoder == ENCODER_LDE:
-        embed = lde_forward(hidden, model.dictionary, model.cfg.lde)[0].flat[0]
-    else:
-        embed = tap_forward(hidden)[0]
-    return (model.classifier.weights.value @ embed
-            + model.classifier.bias.value[:, 0])
+    return model.forward_batch(feats[None], keep=False)[0][0]
 
 
 # Crop frames (members x crop length) that one forward and backward pass

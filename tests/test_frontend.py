@@ -8,6 +8,8 @@ from ldekit.frontend import (
     LengthError,
     ResidualBlock,
     StageSpec,
+    _act_backward,
+    _activate,
 )
 from ldekit.ndcore import Rng
 
@@ -115,6 +117,36 @@ class TestResidualBlock:
         assert_grad_close(dx, central_diff(phi, x), 1e-5, "block input")
         for p in block.params():
             assert_grad_close(p.grad, central_diff(phi, p.value), 1e-5, p.name)
+
+    def test_relu_gradient_from_the_output_is_the_mask_form(self):
+        # backward reads ReLU's output y, not a mask of its input x: bit
+        # for bit the mask form dy * (x > 0), also where x is 0.0 or -0.0
+        # and for negative dy, whose masked zeros carry a sign
+        x = np.array([[[0.0, -0.0, 1.5, -2.0, 5e-324, -5e-324],
+                       [-0.0, 0.0, -1e-300, 1e-300, 3.0, -0.0]]])
+        dy = np.random.default_rng(8).normal(size=x.shape)
+        for grad in (dy, -dy):
+            got = _act_backward("relu", _activate("relu", x), grad)
+            assert got.tobytes() == (grad * (x > 0)).tobytes()
+        # a zero-weight block: conv1's output, the second activation's
+        # input, is exact zeros, and x holds signed zeros
+        probe = np.random.default_rng(9).normal(size=(1, 3, 3))
+        block = ResidualBlock("b", 2, 3, 3, 2, "relu", rng=None)
+        ref = ResidualBlock("b", 2, 3, 3, 2, "relu", rng=None)
+        _, cache = block.forward(x)
+        dx = block.backward(cache, probe)
+        mask1 = x > 0
+        h1, cc1 = ref.conv1.forward(x * mask1)
+        mask2 = h1 > 0
+        _, cc2 = ref.conv2.forward(h1 * mask2)
+        da1 = ref.conv1.backward(
+            cc1, ref.conv2.backward(cc2, probe) * mask2)
+        want = da1 * mask1
+        want[:, :, ::2] += probe[:, :2]
+        assert not mask2.any()
+        assert dx.tobytes() == want.tobytes()
+        for p, q in zip(block.params(), ref.params()):
+            assert p.grad.tobytes() == q.grad.tobytes(), p.name
 
     def test_relu_gradcheck(self):
         rng = np.random.default_rng(7)

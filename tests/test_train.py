@@ -303,9 +303,12 @@ class TestPooledScoring:
 
     @pytest.mark.parametrize("encoder", ["tap", "lde"])
     def test_batch_logits_match_infer(self, encoder):
-        # the forward-only path against the training forward pass: every
-        # front-end shape below, each activation, every LDE mode, odd and
-        # even lengths from the shortest the front-end takes
+        # infer against the training pass: every front-end shape below,
+        # each activation, every LDE mode, odd and even lengths from the
+        # shortest the front-end takes. On its batch of one it is that
+        # pass bit for bit; against a member of a batch of three only up
+        # to rounding, since numpy takes a one-row classifier product as
+        # a BLAS gemv and a three-row one as a gemm
         modes = ALL_MODE_COMBOS if encoder == "lde" else [None]
         for fe in PARITY_FRONTENDS:
             for mode in modes:
@@ -317,8 +320,33 @@ class TestPooledScoring:
                     feats = Rng(length).normal((3, 5, length))
                     logits, _ = model.forward_batch(feats)
                     for b in range(3):
-                        assert rel_diff(infer(model, feats[b]), logits[b]) \
-                            <= 1e-12, (fe, mode, length)
+                        got = infer(model, feats[b])
+                        one, _ = model.forward_batch(feats[b:b + 1])
+                        assert np.array_equal(got, one[0]), (fe, mode, length)
+                        assert rel_diff(got, logits[b]) <= 1e-12, \
+                            (fe, mode, length)
+
+    @pytest.mark.parametrize("encoder", ["tap", "lde"])
+    def test_forward_without_keep_holds_no_cache(self, encoder):
+        # keep=False, the scoring pass, returns no cache and the same
+        # numbers as the training pass, for the front-end alone and the
+        # whole model
+        mode = ALL_MODE_COMBOS[0] if encoder == "lde" else None
+        for fe in PARITY_FRONTENDS:
+            model = Model(parity_model_config(encoder, fe, mode), Rng(3))
+            low = fe.min_length if fe is not None else 1
+            for length in (low, low + 1, 23):
+                feats = Rng(length).normal((3, 5, length))
+                if fe is not None:
+                    kept, caches = model.frontend.forward_batch(feats)
+                    out, none = model.frontend.forward_batch(feats, keep=False)
+                    assert len(caches) == 1 + len(model.frontend.blocks)
+                    assert none is None
+                    assert np.array_equal(out, kept), (fe, length)
+                kept, cache = model.forward_batch(feats)
+                out, none = model.forward_batch(feats, keep=False)
+                assert cache is not None and none is None
+                assert np.array_equal(out, kept), (fe, length)
 
     @pytest.mark.parametrize("mode", ALL_MODE_COMBOS,
                              ids=lambda mode: "-".join(map(str, mode)))
@@ -335,7 +363,9 @@ class TestPooledScoring:
         assert saved.floored.any() == (mode[1] == AGG_NORMALIZED)
         assert saved.zero_norm[2] == mode[2]
         for b in range(4):
-            assert rel_diff(infer(model, x[b]), logits[b]) <= 1e-12, b
+            got = infer(model, x[b])
+            assert np.array_equal(got, model.forward_batch(x[b:b + 1])[0][0])
+            assert rel_diff(got, logits[b]) <= 1e-12, b
 
     def test_infer_keeps_no_backward_state(self):
         spec = ConvSpec.desk_default(20)
