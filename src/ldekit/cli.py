@@ -400,6 +400,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    if sys.stdout.closed:
+        # as for a closed pipe below: the report is lost, not the run
+        sys.stdout = open(os.devnull, "w")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

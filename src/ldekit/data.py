@@ -20,24 +20,28 @@ Every read of a corpus file goes through `CorpusFile`, which checks the
 head once and indexes it: one `StoredUtterance` (id, label, shape, byte
 offset) per utterance, whose frames stay in the file until asked for.
 Such a file-backed list serves wherever a list of in-memory `Utterance`s
-does: both give `features`, the whole D x L array (read at each access
-for a stored one), and `read_frames`, which fills a caller's array with a
-window of frames (one positioned read per feature row for a stored one).
-`make_batches` crops through `read_frames` straight into each batch, so
-training holds one batch of crops, not the corpus, and scoring a stored
+does: both give `features`, the whole D x L array, read at each access
+for a stored one by `ndcore.read_array`. `make_batches` cuts each crop
+from one utterance's `features` into its batch, so training holds one
+batch of crops and one utterance, not the corpus, and scoring a stored
 list holds one utterance at a time. `read_corpus` lists the utterances
 with their frames in memory.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ndcore import DimensionError, Rng, artifact_index, write_artifact
+from .ndcore import (
+    DimensionError,
+    Rng,
+    artifact_index,
+    read_array,
+    write_artifact,
+)
 
 # synthetic analogue of short / medium / long duration test buckets,
 # (bucket tag, inclusive frame-length range)
@@ -111,10 +115,6 @@ class Utterance:
     def num_frames(self) -> int:
         return self.features.shape[1]
 
-    def read_frames(self, start: int, out: np.ndarray) -> None:
-        """Copies frames [start, start + out.shape[1]) into the D x n `out`."""
-        out[...] = self.features[:, start:start + out.shape[1]]
-
 
 @dataclass(frozen=True)
 class StoredUtterance:
@@ -130,34 +130,14 @@ class StoredUtterance:
     file: object = field(repr=False)  # the corpus's open binary file
 
     @property
-    def num_frames(self) -> int:
-        return self.shape[1]
-
-    @property
     def features(self) -> np.ndarray:
         """The whole D x L array, read from the file at each access."""
-        arr = np.empty(self.shape, dtype="<f8")
-        self._read(arr, self.offset)
-        self._check_finite(arr)
-        return arr.astype(np.float64, copy=False)
-
-    def read_frames(self, start: int, out: np.ndarray) -> None:
-        """Frames [start, start + out.shape[1]) into the D x n `out`, whose
-        rows are contiguous: one positioned read per feature row."""
-        row_bytes = 8 * self.shape[1]
-        for row, buf in enumerate(out):
-            self._read(buf, self.offset + row * row_bytes + 8 * start)
-        self._check_finite(out)
-
-    def _read(self, buf: np.ndarray, offset: int) -> None:
-        if os.preadv(self.file.fileno(), [buf], offset) != buf.nbytes:
-            raise CorpusFormatError(f"{self.file.name}: {self.id} is cut "
-                                    f"short")
-
-    def _check_finite(self, frames: np.ndarray) -> None:
-        if not np.isfinite(frames).all():
+        arr = read_array(self.file, self.file.name, self.id, self.shape,
+                         self.offset, CorpusFormatError)
+        if not np.isfinite(arr).all():
             raise CorpusFormatError(f"{self.file.name}: {self.id} holds "
                                     f"non-finite frames")
+        return arr
 
 
 @dataclass
@@ -247,26 +227,16 @@ def generate_corpus(spec: SyntheticSpec) -> tuple[list[Utterance], list[Utteranc
             list(generate_split(spec, "test")))
 
 
-def crop_or_extend(utt, target_len: int, rng: Rng,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Exactly target_len frames of an `Utterance` or `StoredUtterance`,
-    written into `out` (D x target_len) when given: a uniform random
-    contiguous crop when the utterance is longer, wrap-around tiling then
-    truncation when shorter. Only the frames kept are read, once each."""
-    if out is None:
-        out = np.empty((utt.shape[0], target_len), dtype="<f8")
-    length = utt.num_frames
+def crop_or_extend(utt, target_len: int, rng: Rng) -> np.ndarray:
+    """Exactly target_len frames of an `Utterance` or `StoredUtterance`:
+    a uniform random contiguous crop of its `features` when the utterance
+    is longer, wrap-around tiling then truncation when shorter."""
+    frames = utt.features
+    length = frames.shape[1]
     if length > target_len:
-        utt.read_frames(rng.integers(0, length - target_len), out)
-        return out
-    utt.read_frames(0, out[:, :length])
-    # tile by doubling: the filled prefix is always whole repeats
-    filled = length
-    while filled < target_len:
-        width = min(filled, target_len - filled)
-        out[:, filled:filled + width] = out[:, :width]
-        filled += width
-    return out
+        start = rng.integers(0, length - target_len)
+        return frames[:, start:start + target_len]
+    return frames[:, np.arange(target_len) % length]
 
 
 def sdc_shape(shape: tuple[int, int], n_coeffs: int = 7, delta: int = 1,
@@ -317,9 +287,9 @@ def make_batches(utts, batch_size: int, crop_min: int, crop_max: int,
     of `Utterance`s or of an open corpus's `StoredUtterance`s.
 
     A fresh length L is drawn uniformly from [crop_min, crop_max] per step
-    and every member is cropped or extended to it (`crop_or_extend`)
-    straight into one new batch array, so a stored list reads just the
-    frames that the batch keeps.
+    and every member is cropped or extended to it (`crop_or_extend`) into
+    its row of one new batch array, so a stored list holds one batch and
+    one whole utterance at a time.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -329,8 +299,8 @@ def make_batches(utts, batch_size: int, crop_min: int, crop_max: int,
         target = rng.integers(crop_min, crop_max)
         feats = np.empty((len(members), members[0].shape[0], target),
                          dtype="<f8")
-        for u, out in zip(members, feats):
-            crop_or_extend(u, target, rng, out)
+        for u, row in zip(members, feats):
+            row[...] = crop_or_extend(u, target, rng)
         labels = np.array([u.label for u in members], dtype=np.int64)
         yield feats, labels
 
@@ -392,10 +362,11 @@ class CorpusFile:
                 if type(lab) is not int or not 0 <= lab < self.num_classes:
                     raise CorpusFormatError(f"{path}: label {lab!r} of "
                                             f"{ident} out of range")
-                if len(shape) != 2 or shape[0] != self.feature_dim:
+                if (len(shape) != 2 or shape[0] != self.feature_dim
+                        or shape[1] < 1):
                     raise CorpusFormatError(
                         f"{path}: {ident} has shape {shape}, expected "
-                        f"({self.feature_dim}, L)")
+                        f"({self.feature_dim}, L) with L >= 1")
                 self.utterances.append(
                     StoredUtterance(ident, lab, shape, offset, self._file))
         except BaseException:

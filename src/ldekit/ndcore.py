@@ -12,9 +12,10 @@ through `atomic_write`, so a failed write never leaves a partial file.
 Corpora, model checkpoints and mixture banks share one file format, a
 JSON head plus named float64 arrays, written by `write_artifact` from any
 iterable of arrays, one at a time. `artifact_index` checks an open file's
-head against its size and lists each array's name, shape and byte offset;
-`read_artifact` reads every array through that index, and
-`data.CorpusFile` reads single utterances and crops through it.
+head against its size and lists each array's name, shape and byte offset.
+`read_array` reads one array at its offset, the only positioned read:
+`read_artifact` reads every array of the index through it, and
+`data.CorpusFile` reads single utterances through it.
 """
 
 from __future__ import annotations
@@ -128,20 +129,25 @@ def artifact_index(fh, path, error) -> tuple[dict, list]:
     return head["meta"], index
 
 
+def read_array(fh, path, name, shape, offset, error) -> np.ndarray:
+    """The float64 array `name` of `shape` whose little-endian values
+    start at byte `offset` of the artifact open in `fh`, read straight into
+    its own allocation by one positioned read. Raises `error` (an
+    exception class) when the file ends before the array does."""
+    arr = np.empty(shape, dtype="<f8")
+    if os.preadv(fh.fileno(), [arr], offset) != arr.nbytes:
+        raise error(f"{path}: {name} is cut short")
+    return arr.astype(np.float64, copy=False)
+
+
 def read_artifact(path, error) -> tuple[dict, dict[str, np.ndarray]]:
     """The meta and the named arrays, in file order, of a `write_artifact`
-    file. Each array is read straight into its own allocation, so reading
-    never holds a second copy of the file. A malformed file raises `error`
-    (an exception class)."""
+    file, each read by `read_array`, so reading never holds a second copy
+    of the file. A malformed file raises `error` (an exception class)."""
     with open(path, "rb") as fh:
         meta, index = artifact_index(fh, path, error)
-        arrays = {}
-        for name, shape, _ in index:
-            arr = np.empty(shape, dtype="<f8")
-            if fh.readinto(arr) != arr.nbytes:
-                raise error(f"{path}: truncated array {name}")
-            arrays[name] = arr.astype(np.float64, copy=False)
-    return meta, arrays
+        return meta, {name: read_array(fh, path, name, shape, offset, error)
+                      for name, shape, offset in index}
 
 
 def expand(lin: np.ndarray, quad: np.ndarray | None, const: np.ndarray,

@@ -260,15 +260,18 @@ def test_closed_stdout_ends_the_report_not_the_run(workspace, capsys,
     tmp_path, config = workspace
     assert main([command, "--config", config, "--force"]) == 0
     normal = {name: (tmp_path / name).read_bytes() for name in outputs}
-    for name in outputs:
-        (tmp_path / name).unlink()
-    capsys.readouterr()
-    with contextlib.redirect_stdout(ClosedPipe()):
-        assert main([command, "--config", config]) == 0
-        sys.stdout.close()  # the devnull stream main switched to
-    assert capsys.readouterr().err == ""
-    assert {name: (tmp_path / name).read_bytes()
-            for name in outputs} == normal
+    closed = io.StringIO()
+    closed.close()
+    for stdout in (ClosedPipe(), closed):  # a pipe, and a closed stream
+        for name in outputs:
+            (tmp_path / name).unlink()
+        capsys.readouterr()
+        with contextlib.redirect_stdout(stdout):
+            assert main([command, "--config", config]) == 0
+            sys.stdout.close()  # the devnull stream main switched to
+        assert capsys.readouterr().err == ""
+        assert {name: (tmp_path / name).read_bytes()
+                for name in outputs} == normal
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])

@@ -167,9 +167,13 @@ class TestCropOrExtend:
         assert len(starts) > 5
 
     def test_extend_tiles_with_wraparound(self):
-        u = Utterance("a", 0, np.array([[1.0, 2.0, 3.0]]))
-        out = crop_or_extend(u, 7, Rng(0))
-        assert np.array_equal(out, [[1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0]])
+        for frames, target, tiled in [
+                ([1.0, 2.0, 3.0], 7, [1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0]),
+                ([4.0], 7, [4.0] * 7),
+                ([1.0, 2.0, 3.0], 6, [1.0, 2.0, 3.0, 1.0, 2.0, 3.0])]:
+            u = Utterance("a", 0, np.array([frames]))
+            out = crop_or_extend(u, target, Rng(0))
+            assert np.array_equal(out, [tiled]), (frames, target)
 
     def test_extend_preserves_rows(self):
         u = Utterance("a", 0, np.array([[1.0, 2.0], [5.0, 6.0]]))
@@ -516,10 +520,10 @@ class TestStoredUtterances:
             corpus.utterances[1].features  # its neighbours read as before
             with pytest.raises(CorpusFormatError, match="non-finite frames"):
                 corpus.utterances[2].features
-            out = np.empty((8, 5))
-            corpus.utterances[2].read_frames(0, out)  # a crop before it
-            with pytest.raises(CorpusFormatError, match="non-finite frames"):
-                corpus.utterances[2].read_frames(5, out)
+            for target in (3, 60):  # a crop, and a tiling, of it
+                with pytest.raises(CorpusFormatError,
+                                   match="non-finite frames"):
+                    crop_or_extend(corpus.utterances[2], target, Rng(0))
         with pytest.raises(CorpusFormatError, match="non-finite frames"):
             read_corpus(path)
 

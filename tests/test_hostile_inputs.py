@@ -3,11 +3,15 @@ a small valid file: each copy either loads or raises its format's typed
 error, and the CLI turns that error into exit code 2."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from ldekit import cli
 from ldekit.cli import build_parser, main
 from ldekit.data import CorpusFormatError, Utterance, read_corpus, write_corpus
 from ldekit.gmm import GmmModel
@@ -275,3 +279,43 @@ def test_cli_scores_not_utf8_exits_2(small_files, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {scores}:2: not UTF-8")
     assert not (small_files / "fused.txt").exists()
+
+
+def test_zero_frame_utterance_exits_2_without_hanging(tmp_path):
+    """A corpus holding a (D, 0) utterance is refused when it is opened,
+    by `train`, `eval` and `gmm` alike; each runs in a subprocess with a
+    timeout, so a command that never returns fails the test."""
+    corpus = tmp_path / "c.bin"
+    rng = Rng(1)
+    write_corpus(corpus, [Utterance(f"u{i}", i % 2, rng.normal((2, n)))
+                          for i, n in enumerate([3, 0, 5])],
+                 num_classes=2, feature_dim=2)
+    write_model(tmp_path / "model.ckpt")
+    config = tmp_path / "run.ini"
+    config.write_text(
+        f"[frontend]\nenabled = false\n"
+        f"[train]\nepochs = 1\nbatch_size = 2\ncrop_min = 2\ncrop_max = 6\n"
+        f"[gmm]\ncomponents = 1\niterations = 1\nuse_sdc = false\n"
+        f"[paths]\ntrain_corpus = {corpus}\ntest_corpus = {corpus}\n"
+        f"checkpoint = {tmp_path}/runs/model.ckpt\n"
+        f"loss_log = {tmp_path}/runs/loss.log\n"
+        f"gmm_checkpoint = {tmp_path}/runs/gmm.ckpt\n"
+        f"gmm_scores = {tmp_path}/runs/gmm_scores.txt\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv in (["train", "--config", str(config)],
+                 ["eval", "--checkpoint", str(tmp_path / "model.ckpt"),
+                  "--corpus", str(corpus),
+                  "--scores", str(tmp_path / "scores.txt")],
+                 ["gmm", "--config", str(config)]):
+        out = subprocess.run([sys.executable, "-m", "ldekit", *argv],
+                             env=env, capture_output=True, text=True,
+                             timeout=60)
+        assert out.returncode == 2, (argv[0], out.stderr)
+        assert out.stderr.startswith("data error: ")
+        assert "u1 has shape (2, 0)" in out.stderr
+        assert "Traceback" not in out.stderr
+    written = [name for name in ("runs/model.ckpt", "runs/loss.log",
+                                 "runs/gmm.ckpt", "runs/gmm_scores.txt",
+                                 "scores.txt") if (tmp_path / name).exists()]
+    assert written == []
