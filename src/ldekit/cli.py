@@ -108,8 +108,6 @@ def _print_bucket_metrics(trials: TrialSet) -> None:
         bucket = duration_bucket(t.id)
         if bucket is not None:
             groups.setdefault(bucket, []).append(t)
-    if not groups:
-        return
     known = [name for name, _ in DURATION_BUCKETS]
     order = [b for b in known if b in groups]
     order += sorted(b for b in groups if b not in known)

@@ -383,17 +383,12 @@ class CorpusFile:
         self.close()
 
 
-def read_corpus(path, label: int | None = None
-                ) -> tuple[list[Utterance], int, int]:
-    """Returns (utterances, num_classes, feature_dim); with `label`, the
-    utterances of that class only, in corpus order.
-
-    The whole head is checked first (`CorpusFile`). Each wanted
-    utterance's frames are then read straight into their final array, so
-    reading never holds a second copy of the file, and the other classes'
-    frames are not read at all.
+def read_corpus(path) -> tuple[list[Utterance], int, int]:
+    """Returns (utterances, num_classes, feature_dim). The whole head is
+    checked first (`CorpusFile`); each utterance's frames are then read
+    straight into their final array, so reading never holds a second copy
+    of the file.
     """
     with CorpusFile(path) as corpus:
-        utts = [Utterance(u.id, u.label, u.features)
-                for u in corpus.utterances if label is None or u.label == label]
+        utts = [Utterance(u.id, u.label, u.features) for u in corpus.utterances]
         return utts, corpus.num_classes, corpus.feature_dim

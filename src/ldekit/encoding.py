@@ -120,9 +120,9 @@ class Dictionary:
         return cls(centers, inv_softplus(s_eff))
 
     @classmethod
-    def zeros(cls, cfg: LdeConfig, smoothing: float = 1.0) -> "Dictionary":
+    def zeros(cls, cfg: LdeConfig) -> "Dictionary":
         c, d = cfg.num_components, cfg.feature_dim
-        raw = np.full((c, 1), inv_softplus(smoothing))
+        raw = np.full((c, 1), inv_softplus(1.0))
         return cls(np.zeros((c, d)), raw)
 
 

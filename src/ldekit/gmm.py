@@ -60,6 +60,8 @@ class GmmModel:
     def __post_init__(self):
         for name in ("weights", "means", "variances"):
             self._freeze(name, np.array(getattr(self, name), dtype=np.float64))
+        if self.means.ndim != 2:
+            raise DimensionError("means and variances must be C x D")
         if self.means.shape != self.variances.shape:
             raise DimensionError("means and variances must have equal shapes")
         if self.weights.shape != (self.means.shape[0],):

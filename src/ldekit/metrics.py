@@ -235,14 +235,16 @@ def _fusion_loss_grad(weights, tensor, labels):
     return float(np.mean(losses)), grad_w
 
 
-def train_fusion(systems: list[TrialSet], iterations: int = 500,
-                 lr: float = 0.5, grad_tol: float = 1e-9) -> FusionWeights:
+def train_fusion(systems: list[TrialSet], iterations: int = 500
+                 ) -> FusionWeights:
     """Gradient descent on the multiclass cross-entropy of the fused
     logits; weights start at 1/S. There is no bias: a shift shared by
     every class has zero gradient under softmax.
 
-    Warns and returns the best iterate seen if the gradient has not
-    vanished within the iteration budget.
+    A step is taken only if it does not raise the loss, and an overshoot
+    halves the rate instead, so the current weights always have the least
+    loss of every point evaluated. If the gradient has not vanished
+    within the iteration budget, that iterate is returned with a warning.
     """
     names, order, labels, tensor = _aligned_systems(systems)
     counts = np.bincount(labels, minlength=len(names))
@@ -254,30 +256,22 @@ def train_fusion(systems: list[TrialSet], iterations: int = 500,
     if iterations == 0:
         return FusionWeights(weights)
 
+    lr, grad_tol = 0.5, 1e-9
     loss, grad = _fusion_loss_grad(weights, tensor, labels)
-    best_loss, best_w = loss, weights.copy()
-    converged = False
     for _ in range(iterations):
         if np.max(np.abs(grad)) < grad_tol:
-            converged = True
-            break
+            return FusionWeights(weights)
         candidate = weights - lr * grad
         cand_loss, cand_grad = _fusion_loss_grad(candidate, tensor, labels)
         if cand_loss <= loss:
             weights, loss, grad = candidate, cand_loss, cand_grad
             lr *= 1.1
-            if loss < best_loss:
-                best_loss, best_w = loss, weights.copy()
         else:
             lr *= 0.5  # backtrack on overshoot
-    else:
-        if np.max(np.abs(grad)) < grad_tol:
-            converged = True
-    if not converged:
+    if np.max(np.abs(grad)) >= grad_tol:
         warnings.warn("fusion training did not converge within the "
                       "iteration budget; returning the best iterate",
                       RuntimeWarning)
-        return FusionWeights(best_w)
     return FusionWeights(weights)
 
 

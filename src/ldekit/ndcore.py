@@ -253,19 +253,11 @@ class Param:
 
     name: str
     value: np.ndarray
-    grad: np.ndarray = field(default=None)
+    grad: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.value = np.asarray(self.value, dtype=np.float64)
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        else:
-            self.grad = np.asarray(self.grad, dtype=np.float64)
-        if self.grad.shape != self.value.shape:
-            raise DimensionError(
-                f"param {self.name}: grad shape {self.grad.shape} != "
-                f"value shape {self.value.shape}"
-            )
+        self.grad = np.zeros_like(self.value)
 
     @property
     def shape(self):

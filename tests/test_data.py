@@ -363,33 +363,7 @@ class TestCorpusFile:
         write_corpus(path, test, spec.num_classes, spec.feature_dim)
         return spec
 
-    def test_one_class_read_equals_the_filtered_full_read(self, tmp_path):
-        path = tmp_path / "c.bin"
-        spec = self.bucketed_file(path)
-        full, k, d = read_corpus(path)
-        for label in range(spec.num_classes):
-            part, k2, d2 = read_corpus(path, label)
-            want = [u for u in full if u.label == label]
-            assert (k2, d2) == (k, d) and len(part) == len(want) > 0
-            for a, b in zip(part, want):
-                assert a.id == b.id and a.label == b.label == label
-                assert np.array_equal(a.features, b.features)
-
-    def test_one_class_read_holds_that_class_only(self, tmp_path):
-        spec = small_spec(train_utterances=40, test_utterances=0)
-        train, _ = generate_corpus(spec)
-        path = tmp_path / "c.bin"
-        write_corpus(path, train, spec.num_classes, spec.feature_dim)
-        one_class = sum(u.features.nbytes for u in train if u.label == 2)
-        tracemalloc.start()
-        try:
-            read_corpus(path, 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * one_class < path.stat().st_size / 2
-
-    def test_one_class_read_checks_the_other_classes(self, tmp_path):
+    def test_label_out_of_range_names_the_utterance(self, tmp_path):
         path = tmp_path / "c.bin"
         self.bucketed_file(path)
         meta, arrays = read_artifact(path, CorpusFormatError)
@@ -397,7 +371,7 @@ class TestCorpusFile:
         write_artifact(path, meta, list(arrays.items()))
         with pytest.raises(CorpusFormatError,
                            match="label 9 of te00000#.* out of range"):
-            read_corpus(path, 1)
+            read_corpus(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"

@@ -66,6 +66,12 @@ class TestGmmModel:
         with pytest.raises(ValueError, match="overflow"):
             GmmModel(**parts)
 
+    @pytest.mark.parametrize("shape", [(2,), (1, 2, 3)])
+    def test_means_of_the_wrong_rank_rejected(self, shape):
+        with pytest.raises(DimensionError, match="C x D"):
+            GmmModel(weights=[1.0], means=np.zeros(shape),
+                     variances=np.ones(shape))
+
     def test_parameters_are_read_only_copies(self):
         rng = np.random.default_rng(15)
         parts = {"weights": np.array([0.25, 0.75]),

@@ -114,13 +114,6 @@ def test_hostile_copies_load_or_raise_the_typed_error(tmp_path, fmt):
     assert escapes(tmp_path, fmt, FORMATS[fmt][1]) == []
 
 
-def test_hostile_corpus_copies_one_class_read(tmp_path):
-    # the corpus's own copies, read for class 1 alone: the other classes'
-    # arrays are seeked past, after the same checks of the whole file
-    assert escapes(tmp_path, "corpus",
-                   lambda path: read_corpus(path, label=1)) == []
-
-
 def command(argv, outputs):
     """A loader for `escapes` that runs the ldekit command `argv(path)` on
     a corpus: it returns when the command succeeds and re-raises the

@@ -7,6 +7,8 @@ from ldekit.metrics import (
     ScoresFormatError,
     TrialScore,
     TrialSet,
+    _aligned_systems,
+    _fusion_loss_grad,
     cavg,
     eer,
     eer_average,
@@ -357,9 +359,16 @@ class TestTrainFusion:
 
     def test_nonconvergence_warns_and_returns_best(self):
         good, noise = self.informative_and_noise()
-        with pytest.warns(RuntimeWarning, match="converge"):
-            fw = train_fusion([good, noise], iterations=1)
-        assert np.all(np.isfinite(fw.weights))
+        _, _, labels, tensor = _aligned_systems([good, noise])
+        start, _ = _fusion_loss_grad(np.full(2, 0.5), tensor, labels)
+        losses = []
+        for iterations in range(1, 6):
+            with pytest.warns(RuntimeWarning, match="converge"):
+                fw = train_fusion([good, noise], iterations=iterations)
+            assert np.all(np.isfinite(fw.weights))
+            losses.append(_fusion_loss_grad(fw.weights, tensor, labels)[0])
+        assert losses[0] <= start
+        assert all(b <= a for a, b in zip(losses, losses[1:]))
 
     def test_thin_classes_rejected(self):
         names = ["A", "B"]
