@@ -95,6 +95,11 @@ def _prepare_output(path, force: bool) -> None:
 
 
 def _print_metrics(tag: str, trials: TrialSet) -> None:
+    counts = np.bincount(trials.labels(), minlength=trials.num_classes)
+    if counts.min() == 0:  # a class's EER needs its target trials
+        print(f"[{tag}] trials={len(trials.trials)} "
+              f"(skipped: not every class present)")
+        return
     print(f"[{tag}] trials={len(trials.trials)} "
           f"eer_avg={eer_average(trials) * 100:.2f}% "
           f"eer_pooled={eer_pooled(trials) * 100:.2f}% "
@@ -111,15 +116,8 @@ def _print_bucket_metrics(trials: TrialSet) -> None:
     known = [name for name, _ in DURATION_BUCKETS]
     order = [b for b in known if b in groups]
     order += sorted(b for b in groups if b not in known)
-    k = trials.num_classes
     for bucket in order:
-        subset = TrialSet(trials.class_names, groups[bucket])
-        counts = np.bincount(subset.labels(), minlength=k)
-        if counts.min() == 0:
-            print(f"[{bucket}] trials={len(subset.trials)} "
-                  f"(skipped: not every class present)")
-        else:
-            _print_metrics(bucket, subset)
+        _print_metrics(bucket, TrialSet(trials.class_names, groups[bucket]))
 
 
 def _class_names(num_classes: int) -> list[str]:

@@ -10,8 +10,10 @@ aggregation, so that encoder stands in for the GMM supervector.
 
 A `GmmModel` computes its natural parameters once. EM expands them
 against its pooled frames and their squares in two products;
-`gmm_classify` scores a whole bank in one, against [x; x^2]. Both run on
-`ndcore.expand`, component-major, as k-means' assignment does.
+`gmm_classify` scores a whole bank of one C x D shape in one, against
+[x; x^2]. Both run on `ndcore.expand`, component-major, as k-means'
+assignment does. There is one E-step, `_responsibilities`: EM,
+`posteriors` and `accumulate_stats` all read its posteriors.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .ndcore import (
     Rng,
     expand,
     log_sum_exp_rows,
-    softmax_rows,
     sq_dists,
 )
 
@@ -126,13 +127,25 @@ def log_densities(model: GmmModel, frames: np.ndarray,
                   model.log_norm, frames.T, frames_sq.T).T
 
 
-def posteriors(model: GmmModel, x: np.ndarray) -> np.ndarray:
-    """Occupancy probabilities, L x C, each row summing to 1.
+def _responsibilities(model: GmmModel, x: np.ndarray, x_sq: np.ndarray
+                      ) -> tuple[np.ndarray, float]:
+    """C x N posteriors of the D x N frames `x` (squares `x_sq`) and their
+    total log-likelihood; one max shift and exp give both."""
+    post = log_densities(model, x.T, x_sq.T).T
+    top = post.max(axis=0)
+    post -= top
+    np.exp(post, out=post)
+    total = post.sum(axis=0)
+    ll = float((top + np.log(total)).sum())
+    post /= total
+    return post, ll
 
-    Computed in the log domain with max-shifted normalization.
-    """
+
+def posteriors(model: GmmModel, x: np.ndarray) -> np.ndarray:
+    """Occupancy probabilities, L x C, each row summing to 1: the E-step's
+    max-shifted posteriors (`_responsibilities`), transposed."""
     x = _check_sequence(model, x)
-    return softmax_rows(log_densities(model, x.T))
+    return _responsibilities(model, x, x ** 2)[0].T
 
 
 def accumulate_stats(model: GmmModel, x: np.ndarray) -> BaumWelchStats:
@@ -141,9 +154,9 @@ def accumulate_stats(model: GmmModel, x: np.ndarray) -> BaumWelchStats:
     n_c = sum_t P(c | x_t); f_c = sum_t P(c | x_t) (x_t - mu_c).
     """
     x = _check_sequence(model, x)
-    post = posteriors(model, x)
-    n = post.sum(axis=0)
-    f = post.T @ x.T - n[:, None] * model.means
+    post = _responsibilities(model, x, x ** 2)[0]
+    n = post.sum(axis=1)
+    f = post @ x.T - n[:, None] * model.means
     return BaumWelchStats(n=n, f=f)
 
 
@@ -179,20 +192,6 @@ def _kmeans(frames: np.ndarray, num_components: int, iters: int,
             # re-seed an empty cluster at the frame farthest from its center
             centers[c] = frames[np.argmax(sq_dists(centers[c:c + 1], x)[0])]
     return centers
-
-
-def _responsibilities(model: GmmModel, x: np.ndarray, x_sq: np.ndarray
-                      ) -> tuple[np.ndarray, float]:
-    """C x N posteriors of the D x N frames `x` (squares `x_sq`) and their
-    total log-likelihood; one max shift and exp give both."""
-    post = log_densities(model, x.T, x_sq.T).T
-    top = post.max(axis=0)
-    post -= top
-    np.exp(post, out=post)
-    total = post.sum(axis=0)
-    ll = float((top + np.log(total)).sum())
-    post /= total
-    return post, ll
 
 
 def em_fit(frames: np.ndarray, num_components: int, iters: int,
@@ -275,30 +274,23 @@ def em_fit(frames: np.ndarray, num_components: int, iters: int,
 
 def gmm_classify(models: list[GmmModel], x: np.ndarray) -> np.ndarray:
     """Average per-frame log-likelihood of the D x L sequence `x` under
-    each of the K models, from one product: their `natural` blocks
-    stacked into K C x 2D rows, times the frames stacked on their
-    squares, [x; x^2] (2D x L), give every component's log density, and
-    each model's log-sum-exp runs over its own C contiguous rows. C is
-    the bank's largest component count; a model with fewer fills its
-    spare rows with zero parameters and a `log_norm` of -inf, which add
-    nothing to its sum."""
+    each of the K models, all of one C x D shape, from one product: their
+    `natural` blocks stacked into K C x 2D rows, times the frames stacked
+    on their squares, [x; x^2] (2D x L), give every component's log
+    density, and each model's log-sum-exp runs over its own C contiguous
+    rows."""
     if not models:
         raise DimensionError("need at least one class model to score against")
-    if len({m.dim for m in models}) != 1:
-        raise DimensionError("all models must share the feature dimension")
+    if len({m.means.shape for m in models}) != 1:
+        raise DimensionError("all models must share one C x D shape")
     x = _check_sequence(models[0], x)
     dim, length = x.shape
     stacked = np.empty((2 * dim, length))
     stacked[:dim] = x
     np.square(x, out=stacked[dim:])
-    rows = max(len(m.weights) for m in models)
-    natural = np.zeros((len(models), rows, 2 * dim))
-    log_norm = np.full((len(models), rows), -np.inf)
-    for k, m in enumerate(models):
-        natural[k, :len(m.weights)] = m.natural
-        log_norm[k, :len(m.weights)] = m.log_norm
-    dens = expand(natural.reshape(-1, 2 * dim), None, log_norm.reshape(-1),
-                  stacked, None).reshape(len(models), rows, length)
+    dens = expand(np.concatenate([m.natural for m in models]), None,
+                  np.concatenate([m.log_norm for m in models]),
+                  stacked, None).reshape(len(models), -1, length)
     top = dens.max(axis=1)
     dens -= top[:, None]
     np.exp(dens, out=dens)

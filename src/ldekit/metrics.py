@@ -243,8 +243,9 @@ def train_fusion(systems: list[TrialSet], iterations: int = 500
 
     A step is taken only if it does not raise the loss, and an overshoot
     halves the rate instead, so the current weights always have the least
-    loss of every point evaluated. If the gradient has not vanished
-    within the iteration budget, that iterate is returned with a warning.
+    loss of every point evaluated. Descent ends once the gradient vanishes
+    or a step no longer moves the weights; if the budget runs out first,
+    that iterate is returned with a warning.
     """
     names, order, labels, tensor = _aligned_systems(systems)
     counts = np.bincount(labels, minlength=len(names))
@@ -259,9 +260,11 @@ def train_fusion(systems: list[TrialSet], iterations: int = 500
     lr, grad_tol = 0.5, 1e-9
     loss, grad = _fusion_loss_grad(weights, tensor, labels)
     for _ in range(iterations):
-        if np.max(np.abs(grad)) < grad_tol:
-            return FusionWeights(weights)
         candidate = weights - lr * grad
+        # converged, or the step is below round-off: no smaller one exists
+        if np.max(np.abs(grad)) < grad_tol or np.array_equal(candidate,
+                                                             weights):
+            return FusionWeights(weights)
         cand_loss, cand_grad = _fusion_loss_grad(candidate, tensor, labels)
         if cand_loss <= loss:
             weights, loss, grad = candidate, cand_loss, cand_grad

@@ -406,14 +406,17 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(*read_artifact(path, CheckpointError))
 
 
-def _checked_params(path, kind: str, expect) -> Checkpoint:
-    """Loads a checkpoint of `kind` whose parameters are exactly the names
-    and shapes that `expect(checkpoint)` maps them to (a None size matches
-    any), every value finite; anything else raises CheckpointError."""
+def _load_kind(path, kind: str) -> Checkpoint:
     ckpt = load_checkpoint(path)
     if ckpt.meta.get("kind") != kind:
         raise CheckpointError(f"{path}: not a {kind} checkpoint")
-    shapes = expect(ckpt)
+    return ckpt
+
+
+def _check_params(path, ckpt: Checkpoint, shapes: dict) -> None:
+    """Raises CheckpointError unless the parameters are exactly the names
+    and shapes that `shapes` maps them to (a None size matches any), every
+    value finite."""
     if set(shapes) != set(ckpt.params):
         missing = sorted(set(shapes) - set(ckpt.params))
         extra = sorted(set(ckpt.params) - set(shapes))
@@ -428,7 +431,6 @@ def _checked_params(path, kind: str, expect) -> Checkpoint:
                 f"{path}: {name} has shape {got}, expected {shape}")
         if not np.isfinite(ckpt.params[name]).all():
             raise CheckpointError(f"{path}: {name} holds non-finite values")
-    return ckpt
 
 
 def save_model(path, model: Model, epoch: int | None = None,
@@ -439,15 +441,9 @@ def save_model(path, model: Model, epoch: int | None = None,
 
 
 def load_model(path) -> tuple[Model, dict]:
-    model = None
-
-    def expect(ckpt):
-        nonlocal model
-        cfg = model_config_from_dict(ckpt.meta.get("config", {}))
-        model = Model(cfg, Rng(0))
-        return {p.name: p.value.shape for p in model.params()}
-
-    ckpt = _checked_params(path, "model", expect)
+    ckpt = _load_kind(path, "model")
+    model = Model(model_config_from_dict(ckpt.meta.get("config", {})), Rng(0))
+    _check_params(path, ckpt, {p.name: p.value.shape for p in model.params()})
     for p in model.params():
         p.value[...] = ckpt.params[p.name]
     return model, ckpt.meta
@@ -466,20 +462,17 @@ def save_gmm_bank(path, gmms: list[GmmModel], meta: dict | None = None) -> None:
 
 
 def load_gmm_bank(path) -> tuple[list[GmmModel], dict]:
-    def expect(ckpt):
-        count = ckpt.meta.get("num_classes")
-        if (type(count) is not int
-                or len(_BANK_PARTS) * count != len(ckpt.params)):
-            raise CheckpointError(f"{path}: class count {count!r} does not fit "
-                                  f"{len(ckpt.params)} parameters")
-        return {f"gmm.{k}.{part}": shape for k in range(count)
-                for part, shape in _BANK_PARTS.items()}
-
-    ckpt = _checked_params(path, "gmm", expect)
+    ckpt = _load_kind(path, "gmm")
+    count = ckpt.meta.get("num_classes")
+    if type(count) is not int or len(_BANK_PARTS) * count != len(ckpt.params):
+        raise CheckpointError(f"{path}: class count {count!r} does not fit "
+                              f"{len(ckpt.params)} parameters")
+    _check_params(path, ckpt, {f"gmm.{k}.{part}": shape for k in range(count)
+                               for part, shape in _BANK_PARTS.items()})
     try:
         bank = [GmmModel(**{part: ckpt.params[f"gmm.{k}.{part}"]
                             for part in _BANK_PARTS})
-                for k in range(ckpt.meta["num_classes"])]
+                for k in range(count)]
     except ValueError as exc:
         raise CheckpointError(f"{path}: bad mixture: {exc}") from exc
     return bank, ckpt.meta

@@ -451,6 +451,26 @@ def test_eval_writes_scores_and_buckets(workspace, capsys):
     assert [int(t.label) for t in trials.trials] == [u.label for u in utts]
 
 
+def test_scored_set_without_every_class_reports_and_succeeds(tmp_path,
+                                                             capsys):
+    """Two test utterances of three classes: `eval` and `gmm` write their
+    scores, skip the metrics line and exit 0, since no class's EER can be
+    computed without both target and non-target trials."""
+    config = write_config(tmp_path, extra="[data]\ntest_utterances = 2\n")
+    assert main(["gen-data", "--config", config]) == 0
+    assert main(["train", "--config", config]) == 0
+    scores = tmp_path / "runs" / "scores.txt"
+    assert main(["eval", "--checkpoint", str(tmp_path / "runs" / "model.ckpt"),
+                 "--corpus", str(tmp_path / "data" / "test.bin"),
+                 "--scores", str(scores)]) == 0
+    assert main(["gmm", "--config", config]) == 0
+    out = capsys.readouterr().out
+    skipped = "[all] trials=2 (skipped: not every class present)"
+    assert out.count(skipped) == 2 and "eer_avg" not in out
+    assert len(read_scores(scores).trials) == 2
+    assert len(read_scores(tmp_path / "runs" / "gmm_scores.txt").trials) == 2
+
+
 def test_bucket_breakdown_reads_the_tag_after_the_last_separator(capsys):
     trials = TrialSet(["L0", "L1"], [
         TrialScore(f"u{i}#x#short", i % 2, [float(i % 2), 0.5])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -369,6 +371,26 @@ class TestTrainFusion:
             losses.append(_fusion_loss_grad(fw.weights, tensor, labels)[0])
         assert losses[0] <= start
         assert all(b <= a for a, b in zip(losses, losses[1:]))
+
+    def test_stall_at_the_round_off_floor_is_not_a_warning(self):
+        # on this pair the loss bottoms out with the largest gradient entry
+        # still above the tolerance, and backtracking shrinks the step
+        # until it no longer moves the weights: that is convergence
+        rng = np.random.default_rng(9)
+        names, ids = ["L0", "L1", "L2"], [f"u{i}" for i in range(12)]
+        labels = np.arange(12) % 3
+        systems = [TrialSet.from_arrays(
+            names, ids, labels, rng.normal(size=(12, 3))
+            + (np.arange(3) == labels[:, None]) * rng.uniform(0, 2))
+            for _ in range(2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fw = train_fusion(systems, iterations=500)
+            longer = train_fusion(systems, iterations=2000)
+        _, _, lab, tensor = _aligned_systems(systems)
+        _, grad = _fusion_loss_grad(fw.weights, tensor, lab)
+        assert np.max(np.abs(grad)) >= 1e-9
+        assert np.array_equal(longer.weights, fw.weights)
 
     def test_thin_classes_rejected(self):
         names = ["A", "B"]
