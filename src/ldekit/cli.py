@@ -106,8 +106,10 @@ def _print_metrics(tag: str, trials: TrialSet) -> None:
           f"cavg={cavg(trials) * 100:.2f}%")
 
 
-def _print_bucket_metrics(trials: TrialSet) -> None:
-    """Per-duration-bucket breakdown for corpora that tag test utterances."""
+def _report(tag: str, trials: TrialSet) -> None:
+    """The `[tag]` metrics line, then one per duration bucket that the
+    trial ids tag."""
+    _print_metrics(tag, trials)
     groups: dict[str, list[TrialScore]] = {}
     for t in trials.trials:
         bucket = duration_bucket(t.id)
@@ -118,6 +120,11 @@ def _print_bucket_metrics(trials: TrialSet) -> None:
     order += sorted(b for b in groups if b not in known)
     for bucket in order:
         _print_metrics(bucket, TrialSet(trials.class_names, groups[bucket]))
+
+
+def _require_utterances(corpus: CorpusFile) -> None:
+    if not corpus.utterances:  # its scores file would be empty
+        raise CorpusFormatError(f"{corpus.path}: no utterances to score")
 
 
 def _class_names(num_classes: int) -> list[str]:
@@ -145,16 +152,11 @@ def score_corpus(model: Model, utts, num_classes: int) -> TrialSet:
 
 def cmd_gen_data(args) -> int:
     rc = load_config(args.config)
-    if args.out is not None:
-        train_path = os.path.join(args.out, "train.bin")
-        test_path = os.path.join(args.out, "test.bin")
-    else:
-        train_path = rc.paths.train_corpus
-        test_path = rc.paths.test_corpus
-    _prepare_output(train_path, args.force)
-    _prepare_output(test_path, args.force)
+    splits = (("train", rc.paths.train_corpus), ("test", rc.paths.test_corpus))
+    for _, path in splits:
+        _prepare_output(path, args.force)
     written = []
-    for split, path in (("train", train_path), ("test", test_path)):
+    for split, path in splits:
         count = write_corpus(path, generate_split(rc.data, split),
                              rc.data.num_classes, rc.data.feature_dim)
         written.append(f"wrote {count} {split} utterances to {path}")
@@ -174,9 +176,9 @@ def cmd_train(args) -> int:
                                          log_path=rc.paths.loss_log)
     save_model(rc.paths.checkpoint, model, epoch=rc.train.epochs,
                extra_meta={"run_config": config_to_dict(rc)})
-    last = steps[-1].smoothed if steps else float("nan")
     print(f"trained {rc.encoder.model} for {rc.train.epochs} epochs "
-          f"({len(steps)} steps, final smoothed loss {last:.5f})")
+          f"({len(steps)} steps, final smoothed loss "
+          f"{steps[-1].smoothed:.5f})")
     print(f"checkpoint: {rc.paths.checkpoint}")
     print(f"loss log: {rc.paths.loss_log}")
     return 0
@@ -194,18 +196,24 @@ def cmd_eval(args) -> int:
                 f"{args.corpus}: {num_classes} classes of dim {in_dim} but "
                 f"the checkpoint expects {model.cfg.num_classes} of dim "
                 f"{model.cfg.in_dim}")
-        det_paths = ([f"{args.det}.{name}.txt"
-                      for name in _class_names(num_classes)]
-                     if args.det is not None else [])
-        for det_path in det_paths:
+        _require_utterances(corpus)
+        # a class's detection points need its own trials and another
+        # class's, so it is in `labels` and not alone there
+        labels = {u.label for u in corpus.utterances}
+        det_paths = {k: f"{args.det}.{name}.txt"
+                     for k, name in enumerate(_class_names(num_classes))
+                     if args.det is not None and {k} < labels}
+        for det_path in det_paths.values():
             _prepare_output(det_path, args.force)
         tset = score_corpus(model, corpus.utterances, num_classes)
     write_scores(args.scores, tset)
-    for k, det_path in enumerate(det_paths):
+    for k, det_path in det_paths.items():
         write_det_points(det_path, tset, k)
     print(f"scores: {args.scores}")
-    _print_metrics("all", tset)
-    _print_bucket_metrics(tset)
+    for k, name in enumerate(_class_names(num_classes)):
+        if args.det is not None and k not in det_paths:
+            print(f"det {name}: skipped (needs target and non-target trials)")
+    _report("all", tset)
     return 0
 
 
@@ -219,14 +227,12 @@ def cmd_fuse(args) -> int:
     _prepare_output(args.out, args.force)
     train_sets = [read_scores(p) for p in args.train_scores]
     eval_sets = [read_scores(p) for p in args.scores]
-    fusion = train_fusion(train_sets, iterations=args.iterations)
-    fused = fuse(eval_sets, fusion)
+    weights = train_fusion(train_sets, iterations=args.iterations)
+    fused = fuse(eval_sets, weights)
     write_scores(args.out, fused)
-    rendered = " ".join(f"{w:.6g}" for w in fusion.weights)
-    print(f"fusion weights: {rendered}")
+    print(f"fusion weights: {' '.join(f'{w:.6g}' for w in weights)}")
     print(f"fused scores: {args.out}")
-    _print_metrics("fused", fused)
-    _print_bucket_metrics(fused)
+    _report("fused", fused)
     return 0
 
 
@@ -309,9 +315,9 @@ def score_gmm_bank(models: list[GmmModel], utts, num_classes: int,
 def cmd_gmm(args) -> int:
     """Fits the bank on the train corpus, then scores the test corpus,
     reading one utterance at a time throughout. Both corpora's heads are
-    checked, and the test corpus's header against the train corpus's,
-    before the fit, and no artifact is written unless every test
-    utterance scores."""
+    checked, the test corpus's header against the train corpus's and its
+    utterance count against zero, before the fit, and no artifact is
+    written unless every test utterance scores."""
     rc = load_config(args.config)
     _require_file(rc.paths.train_corpus, "train corpus")
     _require_file(rc.paths.test_corpus, "test corpus")
@@ -326,6 +332,7 @@ def cmd_gmm(args) -> int:
                 f"{rc.paths.test_corpus}: header ({test.num_classes} "
                 f"classes, dim {test.feature_dim}) does not match the train "
                 f"corpus ({num_classes}, dim {in_dim})")
+        _require_utterances(test)
         models, histories, counts = fit_gmm_bank(train.utterances,
                                                  num_classes, g)
         tset = score_gmm_bank(models, test.utterances, num_classes, g)
@@ -337,8 +344,7 @@ def cmd_gmm(args) -> int:
               f"{count} frames, final avg ll {history[-1] / count:.5f}")
     print(f"bank: {rc.paths.gmm_checkpoint}")
     print(f"scores: {rc.paths.gmm_scores}")
-    _print_metrics("all", tset)
-    _print_bucket_metrics(tset)
+    _report("all", tset)
     return 0
 
 
@@ -350,11 +356,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="command")
 
-    p = sub.add_parser("gen-data", help="write synthetic train/test corpora")
+    p = sub.add_parser("gen-data", help="write synthetic corpora to [paths]")
     p.add_argument("--config", required=True, help="run configuration file")
-    p.add_argument("--out", default=None,
-                   help="directory for train.bin/test.bin (default: the "
-                        "corpus paths from the config)")
     p.add_argument("--force", action="store_true",
                    help="overwrite existing outputs")
     p.set_defaults(func=cmd_gen_data)
@@ -370,7 +373,8 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", required=True, help="corpus file to score")
     p.add_argument("--scores", required=True, help="output scores file")
     p.add_argument("--det", default=None, metavar="PREFIX",
-                   help="also write PREFIX.<class>.txt detection points")
+                   help="also write PREFIX.<class>.txt detection points, "
+                        "for each class with target and non-target trials")
     p.add_argument("--force", action="store_true",
                    help="overwrite existing outputs")
     p.set_defaults(func=cmd_eval)
@@ -425,7 +429,3 @@ def main(argv=None) -> int:
         # subclasses; remaining pipeline complaints are shape/content problems
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

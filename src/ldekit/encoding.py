@@ -204,10 +204,7 @@ def lde_forward(x: np.ndarray, dictionary: Dictionary,
 
     sq = sq_dists(centers, x)
     s_eff = _smoothing(dictionary, cfg)
-    # softmax_rows reduces the last axis of this B x L x C view, and its
-    # result keeps the view's B x C x L memory order
-    weights = softmax_rows((sq * -s_eff[:, None]).transpose(0, 2, 1))
-    weights = weights.transpose(0, 2, 1)
+    weights = softmax_rows(sq * -s_eff[:, None], axis=1)
 
     mass = weights.sum(axis=2)  # B x C
     e = weights @ x.transpose(0, 2, 1)

@@ -181,16 +181,6 @@ def cavg(trials: TrialSet) -> float:
     return float(np.mean(costs))
 
 
-@dataclass
-class FusionWeights:
-    weights: np.ndarray  # one scalar per system
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-        if not np.all(np.isfinite(self.weights)):
-            raise ValueError("fusion weights must be finite")
-
-
 def _aligned_systems(systems: list[TrialSet]):
     """Stacks systems into an (S, N, K) score tensor in the first
     system's trial order; trials must agree across systems."""
@@ -218,13 +208,14 @@ def _aligned_systems(systems: list[TrialSet]):
     return names, order, labels, np.stack(stacked)
 
 
-def fuse(systems: list[TrialSet], fusion: FusionWeights) -> TrialSet:
-    """Per-class weighted sum of system scores."""
+def fuse(systems: list[TrialSet], weights) -> TrialSet:
+    """Per-class weighted sum of system scores, one weight per system. A
+    non-finite weight gives non-finite scores, which `TrialSet` rejects."""
     names, order, labels, tensor = _aligned_systems(systems)
-    if fusion.weights.size != len(systems):
-        raise ValueError(f"{fusion.weights.size} weights for "
-                         f"{len(systems)} systems")
-    fused = np.tensordot(fusion.weights, tensor, axes=(0, 0))
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (len(systems),):
+        raise ValueError(f"{weights.size} weights for {len(systems)} systems")
+    fused = np.tensordot(weights, tensor, axes=(0, 0))
     return TrialSet.from_arrays(names, order, labels, fused)
 
 
@@ -236,10 +227,10 @@ def _fusion_loss_grad(weights, tensor, labels):
 
 
 def train_fusion(systems: list[TrialSet], iterations: int = 500
-                 ) -> FusionWeights:
-    """Gradient descent on the multiclass cross-entropy of the fused
-    logits; weights start at 1/S. There is no bias: a shift shared by
-    every class has zero gradient under softmax.
+                 ) -> np.ndarray:
+    """The (S,) weights for `fuse`, by gradient descent on the multiclass
+    cross-entropy of the fused logits from 1/S each. There is no bias: a
+    shift shared by every class has zero gradient under softmax.
 
     A step is taken only if it does not raise the loss, and an overshoot
     halves the rate instead, so the current weights always have the least
@@ -255,7 +246,7 @@ def train_fusion(systems: list[TrialSet], iterations: int = 500
     num_systems = len(systems)
     weights = np.full(num_systems, 1.0 / num_systems)
     if iterations == 0:
-        return FusionWeights(weights)
+        return weights
 
     lr, grad_tol = 0.5, 1e-9
     loss, grad = _fusion_loss_grad(weights, tensor, labels)
@@ -264,7 +255,7 @@ def train_fusion(systems: list[TrialSet], iterations: int = 500
         # converged, or the step is below round-off: no smaller one exists
         if np.max(np.abs(grad)) < grad_tol or np.array_equal(candidate,
                                                              weights):
-            return FusionWeights(weights)
+            return weights
         cand_loss, cand_grad = _fusion_loss_grad(candidate, tensor, labels)
         if cand_loss <= loss:
             weights, loss, grad = candidate, cand_loss, cand_grad
@@ -275,7 +266,7 @@ def train_fusion(systems: list[TrialSet], iterations: int = 500
         warnings.warn("fusion training did not converge within the "
                       "iteration budget; returning the best iterate",
                       RuntimeWarning)
-    return FusionWeights(weights)
+    return weights
 
 
 # ---------------------------------------------------------------------------

@@ -174,16 +174,16 @@ def sq_dists(centers: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with per-row max subtraction for stability.
-
-    Every output row is non-negative and sums to 1 (within 1e-12) for any
-    finite input, including entries of magnitude 1e3.
+def softmax_rows(m: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax along `axis`, the last by default, with the max along it
+    subtracted for stability. Every output slice along `axis` is
+    non-negative and sums to 1 (within 1e-12) for any finite input,
+    including entries of magnitude 1e3; the input's memory order is kept.
     """
     m = np.asarray(m, dtype=np.float64)
-    z = m - m.max(axis=-1, keepdims=True)
+    z = m - m.max(axis=axis, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= z.sum(axis=axis, keepdims=True)
     return z
 
 

@@ -398,10 +398,6 @@ class Checkpoint:
     params: dict[str, np.ndarray]
 
 
-def save_checkpoint(path, meta: dict, params: list[Param]) -> None:
-    write_artifact(path, meta, [(p.name, p.value) for p in params])
-
-
 def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(*read_artifact(path, CheckpointError))
 
@@ -437,7 +433,7 @@ def save_model(path, model: Model, epoch: int | None = None,
                extra_meta: dict | None = None) -> None:
     meta = {"kind": "model", "config": model_config_to_dict(model.cfg),
             "epoch": epoch, **(extra_meta or {})}
-    save_checkpoint(path, meta, params=model.params())
+    write_artifact(path, meta, [(p.name, p.value) for p in model.params()])
 
 
 def load_model(path) -> tuple[Model, dict]:
@@ -456,9 +452,9 @@ _BANK_PARTS = {"weights": (None,), "means": (None, None),
 
 def save_gmm_bank(path, gmms: list[GmmModel], meta: dict | None = None) -> None:
     full = {**(meta or {}), "kind": "gmm", "num_classes": len(gmms)}
-    save_checkpoint(path, full, [Param(f"gmm.{k}.{part}", getattr(m, part))
-                                 for k, m in enumerate(gmms)
-                                 for part in _BANK_PARTS])
+    write_artifact(path, full, [(f"gmm.{k}.{part}", getattr(m, part))
+                                for k, m in enumerate(gmms)
+                                for part in _BANK_PARTS])
 
 
 def load_gmm_bank(path) -> tuple[list[GmmModel], dict]:
@@ -475,4 +471,6 @@ def load_gmm_bank(path) -> tuple[list[GmmModel], dict]:
                 for k in range(count)]
     except ValueError as exc:
         raise CheckpointError(f"{path}: bad mixture: {exc}") from exc
+    if len({m.means.shape for m in bank}) > 1:  # gmm_classify stacks them
+        raise CheckpointError(f"{path}: mixtures differ in C x D shape")
     return bank, ckpt.meta

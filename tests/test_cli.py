@@ -12,7 +12,7 @@ import pytest
 from ldekit import cli
 from ldekit.cli import (
     UsageError,
-    _print_bucket_metrics,
+    _report,
     fit_gmm_bank,
     main,
     score_corpus,
@@ -305,16 +305,6 @@ def test_output_below_a_regular_file_is_usage_error(workspace, capsys, under):
     assert err.startswith("usage error: ") and str(target) in err
 
 
-def test_gen_data_out_through_a_regular_file_is_usage_error(tmp_path, capsys):
-    config = write_config(tmp_path)
-    blocker = tmp_path / "afile"
-    blocker.write_text("not a directory\n")
-    assert main(["gen-data", "--config", config, "--out", str(blocker)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("usage error: ") and str(blocker) in err
-    assert blocker.read_text() == "not a directory\n"
-
-
 def test_gen_data_writes_corpora(workspace):
     tmp_path, config = workspace
     train, k, d = read_corpus(tmp_path / "data" / "train.bin")
@@ -339,9 +329,11 @@ def test_gen_data_force_is_byte_identical(workspace):
 
 
 def test_gen_data_out_dir_created(tmp_path):
-    config = write_config(tmp_path)
     out = tmp_path / "fresh" / "corpora"
-    assert main(["gen-data", "--config", config, "--out", str(out)]) == 0
+    config = write_config(tmp_path, extra=f"[paths]\n"
+                          f"train_corpus = {out}/train.bin\n"
+                          f"test_corpus = {out}/test.bin\n")
+    assert main(["gen-data", "--config", config]) == 0
     utts, _, _ = read_corpus(out / "train.bin")
     assert len(utts) == 24
 
@@ -463,21 +455,79 @@ def test_scored_set_without_every_class_reports_and_succeeds(tmp_path,
     assert main(["eval", "--checkpoint", str(tmp_path / "runs" / "model.ckpt"),
                  "--corpus", str(tmp_path / "data" / "test.bin"),
                  "--scores", str(scores)]) == 0
+    eval_out = capsys.readouterr().out
     assert main(["gmm", "--config", config]) == 0
-    out = capsys.readouterr().out
+    gmm_out = capsys.readouterr().out
     skipped = "[all] trials=2 (skipped: not every class present)"
-    assert out.count(skipped) == 2 and "eer_avg" not in out
-    assert len(read_scores(scores).trials) == 2
-    assert len(read_scores(tmp_path / "runs" / "gmm_scores.txt").trials) == 2
+    assert skipped in eval_out and skipped in gmm_out
+    assert "eer_avg" not in eval_out + gmm_out
+    # each report is one `_report` call: the [all] line, then the buckets
+    for out, path in ((eval_out, scores),
+                      (gmm_out, tmp_path / "runs" / "gmm_scores.txt")):
+        trials = read_scores(path)
+        assert len(trials.trials) == 2
+        _report("all", trials)
+        report = capsys.readouterr().out
+        assert out.endswith(report) and report.startswith(skipped)
+
+
+def test_eval_det_skips_a_class_without_both_kinds_of_trial(tmp_path,
+                                                           capsys):
+    """Two test utterances of four classes: only the classes scored give
+    detection points, each skipped class gets a line naming it, and the
+    command succeeds."""
+    config = write_config(tmp_path, extra="[data]\nnum_classes = 4\n"
+                                          "test_utterances = 2\n")
+    assert main(["gen-data", "--config", config]) == 0
+    assert main(["train", "--config", config]) == 0
+    test = tmp_path / "data" / "test.bin"
+    present = {u.label for u in read_corpus(test)[0]}
+    assert len(present) == 2
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(tmp_path / "runs" / "model.ckpt"),
+                 "--corpus", str(test),
+                 "--scores", str(tmp_path / "runs" / "scores.txt"),
+                 "--det", str(tmp_path / "runs" / "det")]) == 0
+    out = capsys.readouterr().out
+    for k in range(4):
+        det = tmp_path / "runs" / f"det.L{k}.txt"
+        line = f"det L{k}: skipped (needs target and non-target trials)\n"
+        assert det.exists() == (k in present)
+        assert (line in out) == (k not in present)
+
+
+@pytest.mark.parametrize("command", ["eval", "gmm"])
+def test_empty_test_corpus_is_data_error(tmp_path, capsys, command):
+    """A test corpus of no utterances would give a scores file that
+    `read_scores` rejects: refused, naming the file, with nothing
+    written."""
+    config = write_config(tmp_path, extra="[data]\ntest_utterances = 0\n")
+    assert main(["gen-data", "--config", config]) == 0
+    test = tmp_path / "data" / "test.bin"
+    if command == "eval":
+        assert main(["train", "--config", config]) == 0
+        written = set(tmp_path.glob("runs/*"))
+        args = ["eval", "--checkpoint", str(tmp_path / "runs" / "model.ckpt"),
+                "--corpus", str(test), "--det", str(tmp_path / "runs" / "det"),
+                "--scores", str(tmp_path / "runs" / "scores.txt")]
+    else:
+        written = set()
+        args = ["gmm", "--config", config]
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr().err == (f"data error: {test}: no utterances "
+                                       f"to score\n")
+    assert set(tmp_path.glob("runs/*")) == written
 
 
 def test_bucket_breakdown_reads_the_tag_after_the_last_separator(capsys):
     trials = TrialSet(["L0", "L1"], [
         TrialScore(f"u{i}#x#short", i % 2, [float(i % 2), 0.5])
         for i in range(4)])
-    _print_bucket_metrics(trials)
-    out = capsys.readouterr().out
-    assert out.startswith("[short] trials=4 ")
+    _report("all", trials)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("[all] trials=4 ")
+    assert lines[1] == lines[0].replace("[all]", "[short]")
 
 
 
@@ -541,10 +591,12 @@ def test_eval_corrupted_checkpoint(workspace, capsys):
 
 def test_eval_dimension_mismatch(workspace, capsys):
     tmp_path, config = trained(workspace)
-    other = write_config(tmp_path, extra="[data]\nfeature_dim = 5\n",
-                         name="narrow.ini")
     out = tmp_path / "narrow"
-    assert main(["gen-data", "--config", other, "--out", str(out)]) == 0
+    other = write_config(tmp_path, extra=f"[data]\nfeature_dim = 5\n"
+                         f"[paths]\ntrain_corpus = {out}/train.bin\n"
+                         f"test_corpus = {out}/test.bin\n",
+                         name="narrow.ini")
+    assert main(["gen-data", "--config", other]) == 0
     code = main(["eval", "--checkpoint", str(tmp_path / "runs" / "model.ckpt"),
                  "--corpus", str(out / "test.bin"),
                  "--scores", str(tmp_path / "runs" / "s3.txt")])

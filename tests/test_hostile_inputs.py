@@ -45,9 +45,10 @@ def write_bank(path):
     save_gmm_bank(path, [GmmModel(weights=np.array([0.25, 0.75]),
                                   means=np.array([[0.0, 1.0], [2.0, -1.0]]),
                                   variances=np.array([[1.0, 2.0], [0.5, 1.5]])),
-                         GmmModel(weights=np.array([1.0]),
-                                  means=np.array([[3.0, 3.0]]),
-                                  variances=np.array([[1.0, 1.0]]))])
+                         GmmModel(weights=np.array([0.5, 0.5]),
+                                  means=np.array([[3.0, 3.0], [-3.0, 0.0]]),
+                                  variances=np.array([[1.0, 1.0],
+                                                      [2.0, 0.5]]))])
 
 
 def write_small_corpus(path):

@@ -5,7 +5,6 @@ import pytest
 
 from ldekit.metrics import (
     AlignmentError,
-    FusionWeights,
     ScoresFormatError,
     TrialScore,
     TrialSet,
@@ -270,20 +269,20 @@ class TestCavg:
 class TestFuse:
     def test_single_system_identity_bit_exact(self):
         ts = random_trial_set(Rng(9), k=3, n=15)
-        fused = fuse([ts], FusionWeights(np.array([1.0])))
+        fused = fuse([ts], np.array([1.0]))
         assert fused.ids() == ts.ids()
         assert np.array_equal(fused.score_matrix(), ts.score_matrix())
         assert np.array_equal(fused.labels(), ts.labels())
 
     def test_duplicate_systems_half_weights_identity(self):
         ts = random_trial_set(Rng(10), k=3, n=15)
-        fused = fuse([ts, ts], FusionWeights(np.array([0.5, 0.5])))
+        fused = fuse([ts, ts], np.array([0.5, 0.5]))
         assert np.array_equal(fused.score_matrix(), ts.score_matrix())
 
     def test_alignment_by_id_not_order(self):
         ts = random_trial_set(Rng(11), k=2, n=8)
         reordered = TrialSet(ts.class_names, list(reversed(ts.trials)))
-        fused = fuse([ts, reordered], FusionWeights(np.array([0.5, 0.5])))
+        fused = fuse([ts, reordered], np.array([0.5, 0.5]))
         assert np.array_equal(fused.score_matrix(), ts.score_matrix())
         assert fused.ids() == ts.ids()
 
@@ -292,19 +291,24 @@ class TestFuse:
         b = TrialSet(a.class_names,
                      [TrialScore("other", 0, np.zeros(2))] + a.trials[1:])
         with pytest.raises(AlignmentError):
-            fuse([a, b], FusionWeights(np.array([0.5, 0.5])))
+            fuse([a, b], np.array([0.5, 0.5]))
 
     def test_label_disagreement_rejected(self):
         a = random_trial_set(Rng(12), k=2, n=6)
         flipped = [TrialScore(t.id, 1 - t.label, t.scores) for t in a.trials]
         b = TrialSet(a.class_names, flipped)
         with pytest.raises(AlignmentError):
-            fuse([a, b], FusionWeights(np.array([0.5, 0.5])))
+            fuse([a, b], np.array([0.5, 0.5]))
 
     def test_weight_count_checked(self):
         ts = random_trial_set(Rng(13), k=2, n=6)
-        with pytest.raises(ValueError):
-            fuse([ts], FusionWeights(np.array([0.5, 0.5])))
+        with pytest.raises(ValueError, match="2 weights for 1 systems"):
+            fuse([ts], np.array([0.5, 0.5]))
+
+    def test_non_finite_weight_rejected(self):
+        ts = random_trial_set(Rng(13), k=2, n=6)
+        with pytest.raises(ValueError, match="non-finite score"):
+            fuse([ts], np.array([np.nan]))
 
 
 class TestTrainFusion:
@@ -327,19 +331,19 @@ class TestTrainFusion:
 
     def test_zero_iterations_returns_init(self):
         good, noise = self.informative_and_noise()
-        fw = train_fusion([good, noise], iterations=0)
-        assert np.array_equal(fw.weights, [0.5, 0.5])
+        weights = train_fusion([good, noise], iterations=0)
+        assert np.array_equal(weights, [0.5, 0.5])
 
     def test_noise_system_weight_shrinks(self):
         good, noise = self.informative_and_noise()
-        fw = train_fusion([good, noise])
-        assert abs(fw.weights[1]) <= 0.05
-        assert fw.weights[0] > 0.5
+        weights = train_fusion([good, noise])
+        assert abs(weights[1]) <= 0.05
+        assert weights[0] > 0.5
 
     def test_duplicate_systems_get_equal_weights(self):
         good, _ = self.informative_and_noise()
-        fw = train_fusion([good, good], iterations=200)
-        assert abs(fw.weights[0] - fw.weights[1]) <= 1e-6
+        weights = train_fusion([good, good], iterations=200)
+        assert abs(weights[0] - weights[1]) <= 1e-6
 
     def test_complementary_fusion_beats_both(self):
         names = ["A", "B"]
@@ -354,8 +358,8 @@ class TestTrainFusion:
                 b_scores[i, label] = 3.0
         sys_a = TrialSet.from_arrays(names, ids, labels, a_scores)
         sys_b = TrialSet.from_arrays(names, ids, labels, b_scores)
-        fw = train_fusion([sys_a, sys_b])
-        fused = fuse([sys_a, sys_b], fw)
+        weights = train_fusion([sys_a, sys_b])
+        fused = fuse([sys_a, sys_b], weights)
         best_single = min(eer_average(sys_a), eer_average(sys_b))
         assert eer_average(fused) <= best_single
 
@@ -366,9 +370,9 @@ class TestTrainFusion:
         losses = []
         for iterations in range(1, 6):
             with pytest.warns(RuntimeWarning, match="converge"):
-                fw = train_fusion([good, noise], iterations=iterations)
-            assert np.all(np.isfinite(fw.weights))
-            losses.append(_fusion_loss_grad(fw.weights, tensor, labels)[0])
+                weights = train_fusion([good, noise], iterations=iterations)
+            assert np.all(np.isfinite(weights))
+            losses.append(_fusion_loss_grad(weights, tensor, labels)[0])
         assert losses[0] <= start
         assert all(b <= a for a, b in zip(losses, losses[1:]))
 
@@ -385,12 +389,12 @@ class TestTrainFusion:
             for _ in range(2)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fw = train_fusion(systems, iterations=500)
+            weights = train_fusion(systems, iterations=500)
             longer = train_fusion(systems, iterations=2000)
         _, _, lab, tensor = _aligned_systems(systems)
-        _, grad = _fusion_loss_grad(fw.weights, tensor, lab)
+        _, grad = _fusion_loss_grad(weights, tensor, lab)
         assert np.max(np.abs(grad)) >= 1e-9
-        assert np.array_equal(longer.weights, fw.weights)
+        assert np.array_equal(longer, weights)
 
     def test_thin_classes_rejected(self):
         names = ["A", "B"]

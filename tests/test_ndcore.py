@@ -80,6 +80,20 @@ class TestSoftmaxRows:
         assert np.all(out >= 0)
         assert np.max(np.abs(out.sum(axis=1) - 1.0)) <= 1e-12
 
+    def test_middle_axis_is_bit_identical_to_the_transposed_rows(self):
+        """Over C of a B x C x L array, as the encoder's assignment runs:
+        the same bits as the last-axis softmax of the B x L x C view, and
+        the input's B x C x L memory order."""
+        rng = np.random.default_rng(21)
+        shapes = [(1, 1, 1), (1, 8, 1), (3, 1, 5), (2, 39, 1199)]
+        shapes += [tuple(rng.integers(1, [40, 40, 1200])) for _ in range(30)]
+        for shape in shapes:
+            m = rng.normal(size=shape) * rng.uniform(0.1, 300.0)
+            out = softmax_rows(m, axis=1)
+            ref = softmax_rows(m.transpose(0, 2, 1)).transpose(0, 2, 1)
+            assert out.shape == shape and out.flags.c_contiguous
+            assert out.tobytes() == ref.tobytes()
+
 
 class TestLogSumExpRows:
     def test_matches_direct_on_small_values(self):

@@ -19,7 +19,7 @@ from ldekit.encoding import (
 )
 from ldekit.frontend import ConvSpec, Frontend, LengthError, StageSpec
 from ldekit.gmm import GmmModel
-from ldekit.ndcore import DimensionError, Param, Rng
+from ldekit.ndcore import DimensionError, Param, Rng, write_artifact
 from ldekit.train import (
     CheckpointError,
     LinearClassifier,
@@ -38,7 +38,6 @@ from ldekit.train import (
     load_model,
     model_config_from_dict,
     model_config_to_dict,
-    save_checkpoint,
     save_gmm_bank,
     save_model,
     train_model,
@@ -697,7 +696,6 @@ class TestCheckpoints:
         path = tmp_path / "model.ckpt"
         save_model(path, self.build_model(), epoch=1)
         before = path.read_bytes()
-        write_artifact = ldekit.train.write_artifact
 
         class DiskFull:  # raises as its values are written, after the rest
             shape = (1,)
@@ -719,9 +717,9 @@ class TestCheckpoints:
         gmms = [GmmModel(weights=np.array([0.25, 0.75]),
                          means=np.array([[0.0, 1.0], [2.0, -1.0]]),
                          variances=np.array([[1.0, 2.0], [0.5, 1.5]])),
-                GmmModel(weights=np.array([1.0]),
-                         means=np.array([[3.0, 3.0]]),
-                         variances=np.array([[1.0, 1.0]]))]
+                GmmModel(weights=np.array([0.5, 0.5]),
+                         means=np.array([[3.0, 3.0], [-3.0, 0.0]]),
+                         variances=np.array([[1.0, 1.0], [2.0, 0.5]]))]
         path = tmp_path / "gmm.ckpt"
         save_gmm_bank(path, gmms, meta={"num_classes": 2})
         back, meta = load_gmm_bank(path)
@@ -775,9 +773,9 @@ class TestCheckpoints:
         model = self.build_model()
         *params, dropped = model.params()
         path = tmp_path / "partial.ckpt"
-        save_checkpoint(path, {"kind": "model",
-                               "config": model_config_to_dict(model.cfg)},
-                        params=params)
+        write_artifact(path, {"kind": "model",
+                              "config": model_config_to_dict(model.cfg)},
+                       [(p.name, p.value) for p in params])
         with pytest.raises(CheckpointError, match=re.escape(
                 f"(missing [{dropped.name!r}], unexpected [])")):
             load_model(path)
@@ -789,33 +787,33 @@ class TestCheckpoints:
         config = model_config_to_dict(model.cfg)
         config[key] = value
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, {"kind": "model", "config": config},
-                        model.params())
+        write_artifact(path, {"kind": "model", "config": config},
+                       [(p.name, p.value) for p in model.params()])
         with pytest.raises(CheckpointError, match="bad model config"):
             load_model(path)
 
     @staticmethod
     def bank_params(count, **override):
-        """Class k's one-component, 2-dim mixture as gmm.{k}.* parameters;
-        `override` replaces parts of class 0 by part name."""
+        """Class k's one-component, 2-dim mixture as (gmm.{k}.<part>, array)
+        pairs; `override` replaces parts of class 0 by part name."""
         parts = {"weights": np.array([1.0]), "means": np.zeros((1, 2)),
                  "variances": np.ones((1, 2))}
-        return [Param(f"gmm.{k}.{part}",
-                      override.get(part, value) if k == 0 else value)
+        return [(f"gmm.{k}.{part}",
+                 override.get(part, value) if k == 0 else value)
                 for k in range(count) for part, value in parts.items()]
 
     def test_bank_class_count_disagreeing_rejected(self, tmp_path):
         path = tmp_path / "bank.ckpt"
-        save_checkpoint(path, {"kind": "gmm", "num_classes": 3},
-                        self.bank_params(2))
+        write_artifact(path, {"kind": "gmm", "num_classes": 3},
+                       self.bank_params(2))
         with pytest.raises(CheckpointError, match="class count 3"):
             load_gmm_bank(path)
 
     def test_bank_parameter_names_disagreeing_rejected(self, tmp_path):
         params = self.bank_params(2)
-        params[1].name = "gmm.0.mean"
+        params[1] = ("gmm.0.mean", params[1][1])
         path = tmp_path / "bank.ckpt"
-        save_checkpoint(path, {"kind": "gmm", "num_classes": 2}, params)
+        write_artifact(path, {"kind": "gmm", "num_classes": 2}, params)
         with pytest.raises(CheckpointError,
                            match=r"missing \['gmm.0.means'\], "
                                  r"unexpected \['gmm.0.mean'\]"):
@@ -831,8 +829,8 @@ class TestCheckpoints:
     def test_bank_failing_mixture_validation_rejected(self, tmp_path,
                                                       override, message):
         path = tmp_path / "bank.ckpt"
-        save_checkpoint(path, {"kind": "gmm", "num_classes": 2},
-                        self.bank_params(2, **override))
+        write_artifact(path, {"kind": "gmm", "num_classes": 2},
+                       self.bank_params(2, **override))
         with pytest.raises(CheckpointError, match=message):
             load_gmm_bank(path)
 
@@ -855,10 +853,22 @@ class TestCheckpoints:
     def test_bank_non_finite_parameter_rejected(self, tmp_path, override,
                                                 name):
         path = tmp_path / "bank.ckpt"
-        save_checkpoint(path, {"kind": "gmm", "num_classes": 2},
-                        self.bank_params(2, **override))
+        write_artifact(path, {"kind": "gmm", "num_classes": 2},
+                       self.bank_params(2, **override))
         with pytest.raises(CheckpointError,
                            match=re.escape(f"{name} holds non-finite")):
+            load_gmm_bank(path)
+
+    def test_bank_of_unequal_mixture_shapes_rejected(self, tmp_path):
+        """A bank gmm_classify cannot stack fails on load, naming the
+        file, not at its first score."""
+        path = tmp_path / "bank.ckpt"
+        save_gmm_bank(path, [GmmModel(weights=np.full(c, 1.0 / c),
+                                      means=np.zeros((c, 2)),
+                                      variances=np.ones((c, 2)))
+                             for c in (2, 3)])
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: mixtures differ in C x D shape")):
             load_gmm_bank(path)
 
     def test_bank_loader_rejects_a_model(self, tmp_path):

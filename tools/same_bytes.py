@@ -5,18 +5,21 @@
 OLD_SRC and NEW_SRC are `src/` directories (each holding `ldekit/`). For
 each side, in a fresh temporary directory with PYTHONPATH=<side> and
 BLAS, OpenMP and MKL on one thread, this runs `ldekit gen-data`, `train`,
-`eval` and `gmm` on
+`eval` (with `--det`) and `gmm` on
   - the benchmark recipe (`config_text` and `TRAIN_EPOCHS` from
     `perfbench/worker.py`) at seeds 1, 7 and 66;
   - the reproducibility gate's `REPRO_CONFIG` (from
     `tests/test_acceptance.py`), once with TAP and once with
     `[encoder] model = lde`, then `ldekit fuse` of those two scores files
     at --iterations 0, 1, 3, 10 and 500.
-Corpora, loss logs, scores and fused scores must be byte-identical.
-Checkpoint and bank arrays must be bit-identical, as read by
-`ldekit.ndcore.read_artifact` from NEW_SRC, and their meta equal once
-each side's work directory is swapped for a placeholder. One line is
-printed per artifact; the exit status is 1 on any difference.
+Corpora, loss logs, scores, detection points and fused scores must be
+byte-identical. So must what the commands print: each recipe's commands'
+stdout, and the fusions', is kept as one more artifact (`stdout.txt`),
+with each side's work directory swapped for a placeholder. Checkpoint and
+bank arrays must be bit-identical, as read by
+`ldekit.ndcore.read_artifact` from NEW_SRC, and their meta equal with the
+work directory swapped the same way. One line is printed per artifact;
+the exit status is 1 on any difference.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ BENCH_SEEDS = (1, 7, 66)
 FUSE_ITERATIONS = (0, 1, 3, 10, 500)
 CHECKPOINTS = ("model.ckpt", "gmm.ckpt")
 WORK = "<work>"
+STDOUT = "stdout.txt"
 
 
 def _definitions(path: str, names: set[str]) -> dict:
@@ -74,12 +78,17 @@ def _run_side(src: str, root: str) -> None:
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1"}
 
-    def ldekit(*argv):
+    def ldekit(stdout: list[str], *argv):
         out = subprocess.run([sys.executable, "-m", "ldekit", *argv],
                              env=env, capture_output=True, text=True)
         if out.returncode != 0:
             raise SystemExit(f"{src}: ldekit {' '.join(argv)} exited "
                              f"{out.returncode}:\n{out.stderr}")
+        stdout.append(out.stdout.replace(root, WORK))
+
+    def keep(stdout: list[str], directory: str) -> None:
+        with open(os.path.join(directory, STDOUT), "w") as fh:
+            fh.write("".join(stdout))
 
     pair = []
     for name, text, fused in _recipes():
@@ -88,20 +97,25 @@ def _run_side(src: str, root: str) -> None:
         config = os.path.join(work, "run.ini")
         with open(config, "w") as fh:
             fh.write(text.format(root=work))
-        ldekit("gen-data", "--config", config)
-        ldekit("train", "--config", config)
+        stdout: list[str] = []
+        ldekit(stdout, "gen-data", "--config", config)
+        ldekit(stdout, "train", "--config", config)
         parser = configparser.ConfigParser(interpolation=None)
         parser.read(config)
         paths = parser["paths"]
-        ldekit("eval", "--checkpoint", paths["checkpoint"],
-               "--corpus", paths["test_corpus"], "--scores", paths["scores"])
-        ldekit("gmm", "--config", config)
+        ldekit(stdout, "eval", "--checkpoint", paths["checkpoint"],
+               "--corpus", paths["test_corpus"], "--scores", paths["scores"],
+               "--det", os.path.join(os.path.dirname(paths["scores"]), "det"))
+        ldekit(stdout, "gmm", "--config", config)
+        keep(stdout, work)
         if fused:
             pair.append(paths["scores"])
+    stdout = []
     for it in FUSE_ITERATIONS:
-        ldekit("fuse", "--train-scores", *pair, "--scores", *pair,
+        ldekit(stdout, "fuse", "--train-scores", *pair, "--scores", *pair,
                "--out", os.path.join(root, f"fused_{it}.txt"),
                "--iterations", str(it))
+    keep(stdout, root)
 
 
 def _files(root: str) -> set[str]:
