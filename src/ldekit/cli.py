@@ -20,13 +20,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from .config import (
     ConfigError,
     RunConfig,
-    config_to_dict,
     load_config,
     model_config,
 )
@@ -82,16 +82,23 @@ def _require_file(path, what: str) -> None:
         raise FileNotFoundError(f"{what} not found: {path}")
 
 
-def _prepare_output(path, force: bool) -> None:
-    """Overwrite policy plus directory creation, before any real work."""
-    if os.path.exists(path) and not force:
-        raise UsageError(f"refusing to overwrite {path} (pass --force)")
-    parent = os.path.dirname(os.path.abspath(path))
-    try:
-        os.makedirs(parent, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise UsageError(f"cannot create directory {parent} for {path}: "
-                         f"part of that path is a regular file") from exc
+def _prepare_outputs(paths, force: bool) -> None:
+    """A command's outputs: distinct files, then the overwrite policy plus
+    directory creation, before any real work."""
+    real = [os.path.realpath(p) for p in paths]
+    for i, r in enumerate(real):
+        if r in real[:i]:
+            raise UsageError(f"{paths[real.index(r)]} and {paths[i]} are one "
+                             f"file; a command's outputs must be distinct")
+    for path in paths:
+        if os.path.exists(path) and not force:
+            raise UsageError(f"refusing to overwrite {path} (pass --force)")
+        parent = os.path.dirname(os.path.abspath(path))
+        try:
+            os.makedirs(parent, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as exc:
+            raise UsageError(f"cannot create directory {parent} for {path}: "
+                             f"part of that path is a regular file") from exc
 
 
 def _print_metrics(tag: str, trials: TrialSet) -> None:
@@ -153,8 +160,7 @@ def score_corpus(model: Model, utts, num_classes: int) -> TrialSet:
 def cmd_gen_data(args) -> int:
     rc = load_config(args.config)
     splits = (("train", rc.paths.train_corpus), ("test", rc.paths.test_corpus))
-    for _, path in splits:
-        _prepare_output(path, args.force)
+    _prepare_outputs([path for _, path in splits], args.force)
     written = []
     for split, path in splits:
         count = write_corpus(path, generate_split(rc.data, split),
@@ -167,15 +173,14 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     rc = load_config(args.config)
     _require_file(rc.paths.train_corpus, "train corpus")
-    _prepare_output(rc.paths.checkpoint, args.force)
-    _prepare_output(rc.paths.loss_log, args.force)
+    _prepare_outputs([rc.paths.checkpoint, rc.paths.loss_log], args.force)
     with CorpusFile(rc.paths.train_corpus) as corpus:
         model, steps = train_from_config(rc, corpus.utterances,
                                          corpus.num_classes,
                                          corpus.feature_dim,
                                          log_path=rc.paths.loss_log)
     save_model(rc.paths.checkpoint, model, epoch=rc.train.epochs,
-               extra_meta={"run_config": config_to_dict(rc)})
+               extra_meta={"run_config": asdict(rc)})
     print(f"trained {rc.encoder.model} for {rc.train.epochs} epochs "
           f"({len(steps)} steps, final smoothed loss "
           f"{steps[-1].smoothed:.5f})")
@@ -187,7 +192,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     _require_file(args.checkpoint, "checkpoint")
     _require_file(args.corpus, "corpus")
-    _prepare_output(args.scores, args.force)
+    _prepare_outputs([args.scores], args.force)
     model, _meta = load_model(args.checkpoint)
     with CorpusFile(args.corpus) as corpus:
         num_classes, in_dim = corpus.num_classes, corpus.feature_dim
@@ -203,8 +208,7 @@ def cmd_eval(args) -> int:
         det_paths = {k: f"{args.det}.{name}.txt"
                      for k, name in enumerate(_class_names(num_classes))
                      if args.det is not None and {k} < labels}
-        for det_path in det_paths.values():
-            _prepare_output(det_path, args.force)
+        _prepare_outputs([args.scores, *det_paths.values()], args.force)
         tset = score_corpus(model, corpus.utterances, num_classes)
     write_scores(args.scores, tset)
     for k, det_path in det_paths.items():
@@ -224,7 +228,7 @@ def cmd_fuse(args) -> int:
         raise UsageError("need one eval scores file per training scores file")
     for path in args.train_scores + args.scores:
         _require_file(path, "scores file")
-    _prepare_output(args.out, args.force)
+    _prepare_outputs([args.out], args.force)
     train_sets = [read_scores(p) for p in args.train_scores]
     eval_sets = [read_scores(p) for p in args.scores]
     weights = train_fusion(train_sets, iterations=args.iterations)
@@ -321,8 +325,8 @@ def cmd_gmm(args) -> int:
     rc = load_config(args.config)
     _require_file(rc.paths.train_corpus, "train corpus")
     _require_file(rc.paths.test_corpus, "test corpus")
-    _prepare_output(rc.paths.gmm_checkpoint, args.force)
-    _prepare_output(rc.paths.gmm_scores, args.force)
+    _prepare_outputs([rc.paths.gmm_checkpoint, rc.paths.gmm_scores],
+                     args.force)
     g = rc.gmm
     with CorpusFile(rc.paths.train_corpus) as train, \
             CorpusFile(rc.paths.test_corpus) as test:
@@ -337,7 +341,7 @@ def cmd_gmm(args) -> int:
                                                  num_classes, g)
         tset = score_gmm_bank(models, test.utterances, num_classes, g)
     save_gmm_bank(rc.paths.gmm_checkpoint, models,
-                  meta={"run_config": config_to_dict(rc)})
+                  meta={"run_config": asdict(rc)})
     write_scores(rc.paths.gmm_scores, tset)
     for k, (history, count) in enumerate(zip(histories, counts)):
         print(f"class L{k}: {g.components} components on "

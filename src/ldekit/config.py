@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
 from .data import SyntheticSpec
@@ -210,8 +210,3 @@ def load_config(path) -> RunConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text, origin=str(path))
-
-
-def config_to_dict(rc: RunConfig) -> dict:
-    """Typed nested dict of every setting, for checkpoint echo."""
-    return asdict(rc)

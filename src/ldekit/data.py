@@ -7,8 +7,8 @@ structure for the convolutional front-end to exploit. Phone centers are
 drawn per class from a standard normal and are not centered: each class
 keeps its own global mean, so averaging an utterance's frames alone
 already separates the classes. All centers share one rescaling, so the
-mean pairwise center distance exceeds the frame noise by a configurable
-ratio.
+mean pairwise center distance is a configurable multiple of the frame
+noise, which must therefore be positive.
 
 A corpus file is an `ndcore.write_artifact` file: its JSON head's meta is
 {"kind": "corpus", "num_classes", "feature_dim", "labels"}, one label per
@@ -71,7 +71,7 @@ class SyntheticSpec:
     phones_per_class: int = 5
     min_len: int = 100
     max_len: int = 1500
-    noise_std: float = 1.0
+    noise_std: float = 1.0    # > 0: separation is in noise units
     separation: float = 1.2   # mean pairwise center distance / noise_std
     self_loop: float = 0.85   # phone persistence per frame
     train_utterances: int = 800
@@ -91,8 +91,8 @@ class SyntheticSpec:
             raise ValueError("bad utterance length range")
         if self.phones_per_class < 1:
             raise ValueError("phones_per_class must be >= 1")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        if not self.noise_std > 0:
+            raise ValueError("noise_std must be > 0")
         if self.separation < 0:
             raise ValueError("separation must be >= 0")
         if not 0.0 <= self.self_loop < 1.0:
@@ -156,8 +156,8 @@ def _build_generators(spec: SyntheticSpec, rng: Rng) -> list[ClassGenerator]:
     diffs = pool[:, None, :] - pool[None, :, :]
     dists = np.sqrt((diffs ** 2).sum(axis=2))
     n = pool.shape[0]
-    mean_dist = dists.sum() / (n * (n - 1)) if n > 1 else 1.0
-    target = spec.separation * max(spec.noise_std, 1e-12)
+    mean_dist = dists.sum() / (n * (n - 1))
+    target = spec.separation * spec.noise_std
     scale = target / mean_dist if mean_dist > 0 else 0.0
 
     gens = []
@@ -182,8 +182,6 @@ def _sample_utterance(gen: ClassGenerator, length: int, noise_std: float,
     for t in range(1, length):
         phone = succ[phone][t]
         phones.append(phone)
-    if noise_std == 0:
-        return gen.centers[phones].T
     # the centers are added into the noise, which is the same sum
     frames = rng.normal((length, d), std=noise_std)
     frames += gen.centers[phones]

@@ -102,10 +102,6 @@ class Dictionary:
     def feature_dim(self) -> int:
         return self.centers.value.shape[1]
 
-    def effective_smoothing(self) -> np.ndarray:
-        """Positive per-center smoothing values, shape (C,)."""
-        return softplus(self.smoothing.value[:, 0])
-
     def params(self):
         return [self.centers, self.smoothing]
 
@@ -181,7 +177,7 @@ def _smoothing(dictionary: Dictionary, cfg: LdeConfig) -> np.ndarray:
     """The C smoothing values the assignment softmax scales by."""
     if cfg.smoothing_mode == SMOOTHING_SHARED:
         return np.full(cfg.num_components, float(cfg.beta))
-    return dictionary.effective_smoothing()
+    return softplus(dictionary.smoothing.value[:, 0])
 
 
 def lde_forward(x: np.ndarray, dictionary: Dictionary,

@@ -110,20 +110,14 @@ def _act_backward(kind: str, y: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return dy
 
 
-def _same_padding(length: int, kernel: int, stride: int):
-    out_len = -(-length // stride)
-    total = max((out_len - 1) * stride + kernel - length, 0)
-    left = total // 2
-    return out_len, left, total - left
-
-
 @lru_cache(maxsize=4096)
 def _tap_windows(length: int, kernel: int, stride: int):
     """Per kernel tap k: the output positions [lo, hi) whose input index
     j * stride + k - left lies inside the sequence, and the input slice
     they read. Outside that window a tap sees same-padding zeros. The
     plan depends only on the shape, so it is built once per shape."""
-    out_len, left, _ = _same_padding(length, kernel, stride)
+    out_len = -(-length // stride)
+    left = max((out_len - 1) * stride + kernel - length, 0) // 2
     windows = []
     for k in range(kernel):
         offset = k - left
@@ -222,7 +216,6 @@ class ResidualBlock:
         if out_channels < in_channels:
             raise ValueError("residual blocks cannot shrink channels")
         self.in_channels = in_channels
-        self.out_channels = out_channels
         self.stride = stride
         self.activation = activation
         self.conv1 = Conv1d(f"{name}.conv1", in_channels, out_channels,

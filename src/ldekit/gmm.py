@@ -181,8 +181,7 @@ def _kmeans(frames: np.ndarray, num_components: int, iters: int,
     """Plain Lloyd iterations from seeded distinct-frame init on N x D
     frames, whose D x N transpose enters every product."""
     x = frames.T
-    centers = frames[rng.choice(len(frames), num_components,
-                                replace=False)].copy()
+    centers = frames[rng.choice(len(frames), num_components)].copy()
     for _ in range(iters):
         onehot = _assign(centers, x)
         counts = onehot.sum(axis=1)

@@ -230,8 +230,8 @@ class Rng:
         return Rng(self.seed, self.spawn_key + (int(stream),))
 
     # Thin pass-throughs; kept narrow so every draw site is greppable.
-    def normal(self, shape, mean=0.0, std=1.0) -> np.ndarray:
-        return self._gen.normal(loc=mean, scale=std, size=shape)
+    def normal(self, shape, std=1.0) -> np.ndarray:
+        return self._gen.normal(scale=std, size=shape)
 
     def uniform(self, shape, low=0.0, high=1.0) -> np.ndarray:
         return self._gen.uniform(low=low, high=high, size=shape)
@@ -243,8 +243,8 @@ class Rng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
-        return self._gen.choice(n, size=size, replace=replace)
+    def choice(self, n: int, size: int) -> np.ndarray:
+        return self._gen.choice(n, size=size, replace=False)
 
 
 @dataclass
@@ -258,10 +258,6 @@ class Param:
     def __post_init__(self):
         self.value = np.asarray(self.value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
-
-    @property
-    def shape(self):
-        return self.value.shape
 
     def zero_grad(self):
         self.grad[...] = 0.0

@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from ldekit.cli import (
     score_corpus,
     train_from_config,
 )
-from ldekit.config import ConfigError, GmmSettings, config_to_dict, load_config
+from ldekit.config import ConfigError, GmmSettings, load_config
 from ldekit.data import (
     CorpusFile,
     CorpusFormatError,
@@ -165,7 +166,8 @@ def test_train_non_positive_size_is_config_error(workspace, capsys, setting):
 
 
 @pytest.mark.parametrize("section, key, value", [
-    ("data", "noise_std", "nan"), ("data", "separation", "inf"),
+    ("data", "noise_std", "nan"), ("data", "noise_std", "0"),
+    ("data", "separation", "inf"),
     ("data", "seed", "-1"), ("train", "seed", "-1"), ("gmm", "seed", "-1"),
     ("train", "epochs", "0"), ("train", "crop_max", "10"),
     ("data", "feature_dim", "0"), ("data", "train_utterances", "-5"),
@@ -303,6 +305,37 @@ def test_output_below_a_regular_file_is_usage_error(workspace, capsys, under):
     assert main(["train", "--config", config]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and str(target) in err
+
+
+@pytest.mark.parametrize("command, first, second", [
+    ("gen-data", "train_corpus", "test_corpus"),
+    ("train", "checkpoint", "loss_log"),
+    ("gmm", "gmm_checkpoint", "gmm_scores")])
+def test_two_outputs_on_one_file_is_usage_error(workspace, capsys, command,
+                                                first, second):
+    """Two outputs that resolve to one file are refused, even with
+    --force, before any directory is made or any work is done."""
+    tmp_path, _ = workspace
+    clash = tmp_path / "clash"
+    config = write_config(tmp_path, extra=f"[paths]\n{first} = {clash}/out\n"
+                          f"{second} = {clash}/../clash/out\n",
+                          name="clash.ini")
+    assert main([command, "--config", config, "--force"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "must be distinct" in err
+    assert not clash.exists()
+
+
+def test_eval_scores_on_a_det_file_is_usage_error(workspace, capsys):
+    tmp_path, _ = trained(workspace)
+    runs = tmp_path / "runs"
+    code = main(["eval", "--checkpoint", str(runs / "model.ckpt"),
+                 "--corpus", str(tmp_path / "data" / "test.bin"),
+                 "--scores", str(runs / "r.L0.txt"), "--det", str(runs / "r")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "must be distinct" in err
+    assert not list(runs.glob("r.*"))
 
 
 def test_gen_data_writes_corpora(workspace):
@@ -1052,7 +1085,7 @@ def test_train_from_the_file_equals_train_from_config_on_the_list(
     listed, _ = train_from_config(rc, utts, k, d,
                                   log_path=tmp_path / "list_loss.log")
     save_model(tmp_path / "list.ckpt", listed, epoch=rc.train.epochs,
-               extra_meta={"run_config": config_to_dict(rc)})
+               extra_meta={"run_config": asdict(rc)})
     runs = tmp_path / "runs"
     assert ((runs / "loss.log").read_bytes()
             == (tmp_path / "list_loss.log").read_bytes())

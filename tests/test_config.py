@@ -1,6 +1,6 @@
 import configparser
 import io
-from dataclasses import fields
+from dataclasses import asdict, fields
 from typing import get_type_hints
 
 import pytest
@@ -8,7 +8,6 @@ import pytest
 from ldekit.config import (
     ConfigError,
     RunConfig,
-    config_to_dict,
     load_config,
     model_config,
     parse_config,
@@ -218,9 +217,9 @@ def test_bad_data_settings():
         parse_config("[data]\nnum_classes = 1\n")
 
 
-def test_config_to_dict_covers_everything():
+def test_run_config_dict_covers_everything():
     rc = parse_config("[encoder]\nmodel = lde\ncomponents = 4\n")
-    d = config_to_dict(rc)
+    d = asdict(rc)
     assert set(d) == {"data", "frontend", "encoder", "train", "gmm", "paths"}
     assert d["encoder"]["model"] == "lde"
     assert d["encoder"]["components"] == 4
@@ -228,14 +227,14 @@ def test_config_to_dict_covers_everything():
     assert d["paths"]["scores"] == "runs/scores.txt"
 
 
-def test_config_to_dict_round_trips_through_ini_text():
+def test_run_config_dict_round_trips_through_ini_text():
     rc = parse_config("[data]\nnoise_std = 0.25\nbucketed_test = no\n"
                       "[frontend]\nstages = 8:2:flat,16:1:down\n"
                       "[encoder]\nmodel = lde\nbeta = 2.5\n"
                       "[train]\nweight_decay = 3e-05\n"
                       "[gmm]\nuse_sdc = false\n"
                       "[paths]\nscores = out/s.txt\n")
-    d = config_to_dict(rc)
+    d = asdict(rc)
     # every field of every section is written back as a key
     assert list(d) == [f.name for f in fields(RunConfig)]
     for section, values in d.items():

@@ -239,7 +239,7 @@ def reference_kmeans(frames, num_components, iters, rng):
     computed them before it grouped members by a sort; also returns how
     many empty clusters were re-seeded."""
     n = frames.shape[0]
-    centers = frames[rng.choice(n, num_components, replace=False)].copy()
+    centers = frames[rng.choice(n, num_components)].copy()
     reseeds = 0
     for _ in range(iters):
         d2 = sq_dists(centers, frames.T).T

@@ -126,7 +126,7 @@ class TestRng:
                               Rng(5).split(2).normal((4,)))
 
     def test_sample_moments_of_1e6_draws(self):
-        draws = Rng(123).normal((1000, 1000), mean=0.0, std=1.0)
+        draws = Rng(123).normal((1000, 1000), std=1.0)
         assert abs(draws.mean()) <= 0.01
         assert 0.99 <= draws.std() <= 1.01
 

@@ -11,7 +11,10 @@ BLAS, OpenMP and MKL on one thread, this runs `ldekit gen-data`, `train`,
   - the reproducibility gate's `REPRO_CONFIG` (from
     `tests/test_acceptance.py`), once with TAP and once with
     `[encoder] model = lde`, then `ldekit fuse` of those two scores files
-    at --iterations 0, 1, 3, 10 and 500.
+    at --iterations 0, 1, 3, 10 and 500;
+  - `REPRO_CONFIG` as the conventional supervector system: front-end
+    off, a frozen LDE dictionary with one shared smoothing and
+    normalized aggregation, and the mixture baseline on raw frames.
 Corpora, loss logs, scores, detection points and fused scores must be
 byte-identical. So must what the commands print: each recipe's commands'
 stdout, and the fusions', is kept as one more artifact (`stdout.txt`),
@@ -55,6 +58,14 @@ def _definitions(path: str, names: set[str]) -> dict:
     return space
 
 
+def _set(text: str, section: str, lines: str) -> str:
+    """Config `text` with `lines` at the top of [section], which is added
+    before [train] when missing."""
+    if f"[{section}]\n" not in text:
+        text = text.replace("[train]", f"[{section}]\n\n[train]", 1)
+    return text.replace(f"[{section}]\n", f"[{section}]\n{lines}", 1)
+
+
 def _recipes() -> list[tuple[str, str, bool]]:
     """(name, config text with a {root} field, whether the run is
     half of the TAP + LDE fusion pair)."""
@@ -67,9 +78,14 @@ def _recipes() -> list[tuple[str, str, bool]]:
                                       worker["TRAIN_EPOCHS"]), False)
                for seed in BENCH_SEEDS]
     recipes.append(("repro_tap", repro, True))
-    recipes.append(("repro_lde",
-                    repro.replace("[train]", "[encoder]\nmodel = lde\n\n"
-                                  "[train]", 1), True))
+    recipes.append(("repro_lde", _set(repro, "encoder", "model = lde\n"),
+                    True))
+    conventional = _set(repro, "frontend", "enabled = false\n")
+    conventional = _set(conventional, "encoder",
+                        "model = lde\nsmoothing = shared_beta\n"
+                        "aggregation = normalized\nfreeze_dictionary = true\n")
+    recipes.append(("repro_conventional",
+                    _set(conventional, "gmm", "use_sdc = false\n"), False))
     return recipes
 
 
